@@ -3,16 +3,21 @@
 A quadratic planar field is algebrizable relative to one of the three planar
 algebra families exactly when a parameter-dependent 4x4 matrix built from its
 coefficients drops rank and the resulting null vector also annihilates a 2x2
-companion block for the linear part.  The search scans a parameter box for
-rank drops, refines candidates by alternating between the null vector and the
-parameters (the matrix entries are affine in each parameter), and certifies
-every witness by evaluating the resulting Cauchy-Riemann residual on a grid:
-a returned witness is always self-certifying, an empty answer only means the
-search found nothing in the box.
+companion block for the linear part.  The stacked 6x4 matrix is affine in the
+two family parameters, M6(p, q) = M0 + p M1 + q M2, and the search works on
+that pencil: it builds every matrix of the parameter grid in one broadcast
+and scans them for rank drops with one batched SVD; it refines the local
+minima of the smallest singular values in lockstep, alternating between the
+trailing singular vectors and a least-squares parameter fit read off the
+pencil rows; and it certifies every candidate by evaluating the resulting
+Cauchy-Riemann residual on a grid, rejecting it at the first point above
+tolerance or not finite.  A returned witness is always self-certifying, an
+empty answer only means the search found nothing in the box.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +47,8 @@ class QuadraticVF:
             raise DimensionMismatch("QuadraticVF needs six coefficients per component")
         object.__setattr__(self, "a", tuple(float(x) for x in self.a))
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
+        if not all(math.isfinite(x) for x in (*self.a, *self.b)):
+            raise DegenerateParameters("QuadraticVF coefficients must be finite")
 
     def __call__(self, point):
         x, y = point
@@ -69,49 +76,65 @@ class QuadraticVF:
         return float(max(abs(c) for c in (*self.a[3:], *self.b[3:])))
 
 
+# rows of M6 coming from the quadratic part (x- and y-coefficients) and from
+# the linear part (constant coefficients)
+_M4_ROWS = [1, 2, 4, 5]
+_M2_ROWS = [0, 3]
+
+
+def _pencil(vf, case):
+    """(M0, M1, M2), stacked, with M6(p, q) = M0 + p M1 + q M2.
+
+    Rows 0-2 of M6 are the constant, x and y coefficients of the first
+    equation, rows 3-5 those of the second; the columns pair with the null
+    vector (a, b, c, d).  A and B hold the derivative coefficients of the two
+    field components in the same row order.
+    """
+    a, b = vf.a, vf.b
+    A = np.array([[a[1], a[2]], [2 * a[3], a[4]], [a[4], 2 * a[5]]])
+    B = np.array([[b[1], b[2]], [2 * b[3], b[4]], [b[4], 2 * b[5]]])
+    m = np.zeros((3, 6, 4))
+    # M6 in (even columns | odd columns), first three rows over the last three
+    if case == CASE_A2_1:
+        # (A + beta B | -B) over (alpha B | -A)
+        m[0, :3, 0::2], m[0, :3, 1::2], m[2, :3, 0::2] = A, -B, B
+        m[1, 3:, 0::2], m[0, 3:, 1::2] = B, -A
+    elif case == CASE_A2_2:
+        # (A | gamma A - B) over (B | -delta A)
+        m[0, :3, 0::2], m[0, :3, 1::2], m[1, :3, 1::2] = A, -B, A
+        m[0, 3:, 0::2], m[2, 3:, 1::2] = B, -A
+    elif case == CASE_A2_12:
+        # (0 | A) over (B | 0)
+        m[0, :3, 1::2], m[0, 3:, 0::2] = A, B
+    else:
+        raise ValueError(f"unknown case {case!r}")
+    return m
+
+
+def _pencil_at(pencil, p, q):
+    """The pencil at parameters p, q, scalars or arrays of one shape S: shape S + (rows, 4)."""
+    p = np.asarray(p)[..., None, None]
+    q = np.asarray(q)[..., None, None]
+    return pencil[0] + p * pencil[1] + q * pencil[2]
+
+
 def build_M6(vf, case, params=()):
     """The six coefficient equations a null vector of which algebrizes vf."""
-    a, b = vf.a, vf.b
-    if case == CASE_A2_1:
-        alpha, beta = params
-        return np.array([
-            [beta * b[1] + a[1], -b[1], beta * b[2] + a[2], -b[2]],
-            [2 * beta * b[3] + 2 * a[3], -2 * b[3], beta * b[4] + a[4], -b[4]],
-            [beta * b[4] + a[4], -b[4], 2 * beta * b[5] + 2 * a[5], -2 * b[5]],
-            [alpha * b[1], -a[1], alpha * b[2], -a[2]],
-            [2 * alpha * b[3], -2 * a[3], alpha * b[4], -a[4]],
-            [alpha * b[4], -a[4], 2 * alpha * b[5], -2 * a[5]],
-        ])
-    if case == CASE_A2_2:
-        gamma, delta = params
-        return np.array([
-            [a[1], gamma * a[1] - b[1], a[2], gamma * a[2] - b[2]],
-            [2 * a[3], 2 * gamma * a[3] - 2 * b[3], a[4], gamma * a[4] - b[4]],
-            [a[4], gamma * a[4] - b[4], 2 * a[5], 2 * gamma * a[5] - 2 * b[5]],
-            [b[1], -delta * a[1], b[2], -delta * a[2]],
-            [2 * b[3], -2 * delta * a[3], b[4], -delta * a[4]],
-            [b[4], -delta * a[4], 2 * b[5], -2 * delta * a[5]],
-        ])
+    pencil = _pencil(vf, case)
     if case == CASE_A2_12:
-        return np.array([
-            [0.0, a[1], 0.0, a[2]],
-            [0.0, 2 * a[3], 0.0, a[4]],
-            [0.0, a[4], 0.0, 2 * a[5]],
-            [b[1], 0.0, b[2], 0.0],
-            [2 * b[3], 0.0, b[4], 0.0],
-            [b[4], 0.0, 2 * b[5], 0.0],
-        ])
-    raise ValueError(f"unknown case {case!r}")
+        return pencil[0]
+    p, q = params
+    return _pencil_at(pencil, p, q)
 
 
 def build_M4(vf, case, params=()):
     """Rows of M6 coming from the quadratic part (x- and y-coefficients)."""
-    return build_M6(vf, case, params)[[1, 2, 4, 5]]
+    return build_M6(vf, case, params)[_M4_ROWS]
 
 
 def build_M2(vf, case, params=()):
     """Rows of M6 coming from the linear part (constant coefficients)."""
-    return build_M6(vf, case, params)[[0, 3]]
+    return build_M6(vf, case, params)[_M2_ROWS]
 
 
 def _case_algebra(case, params):
@@ -150,24 +173,34 @@ _VERIFY_GRID = [np.array([x, y]) for x in np.linspace(-1.0, 1.0, 5)
                 for y in np.linspace(-1.0, 1.0, 5)]
 
 
+def _grid_residual(vf, phi, algebra, tol):
+    """Largest CR residual of vf over the verify grid, or None once a point fails.
+
+    A point fails when its residual is above tol or not finite.  The scan
+    stops at the first failure, so only accepted witnesses pay for every point.
+    """
+    fmap = vf.as_map()
+    worst = 0.0
+    for u in _VERIFY_GRID:
+        r = cre_residual(fmap, phi, algebra, u)
+        if not (math.isfinite(r) and r <= tol):
+            return None
+        worst = max(worst, r)
+    return worst
+
+
 def _certify(vf, case, params, v, tol=WITNESS_TOL):
     try:
         phi = phi_from_v(v)
     except DegenerateParameters:
         return None
     algebra = _case_algebra(case, params)
-    fmap = vf.as_map()
-    residual = max(cre_residual(fmap, phi, algebra, u) for u in _VERIFY_GRID)
-    if residual > tol:
+    residual = _grid_residual(vf, phi, algebra, tol)
+    if residual is None:
         return None
     det_m4 = abs(float(np.linalg.det(build_M4(vf, case, params))))
     return AlgebrizationWitness(case=case, params=tuple(params), v=np.asarray(v, dtype=float),
                                 phi=phi, residual=residual, det_m4=det_m4, algebra=algebra)
-
-
-def _null_vector(matrix):
-    _, s, vt = np.linalg.svd(matrix)
-    return vt[-1], (s[-1] / max(s[0], 1e-300) if s[0] > 0 else 0.0)
 
 
 def _null_candidates(matrix, pair_rtol=1e-6):
@@ -197,61 +230,62 @@ def _null_candidates(matrix, pair_rtol=1e-6):
     return candidates
 
 
-def _param_equations(vf, case, v):
-    """Affine equations coef*param + const = 0 implied by one null vector.
+def _dot(m, v):
+    """m @ v for v of shape (..., 4): (..., rows), summed column by column.
 
-    The parametric rows of the stacked matrix are affine in each family
-    parameter, so each null vector contributes two equations per parameter.
-    Returns (first_param_pairs, second_param_pairs).
+    The fixed left-to-right order keeps the fitted parameters, which --json
+    prints in full, identical to the last bit on every BLAS build.
     """
-    a, b = vf.a, vf.b
-    va, vb, vc, vd = v
-    if case == CASE_A2_1:
-        beta_pairs = [
-            (2 * b[3] * va + b[4] * vc, 2 * a[3] * va - 2 * b[3] * vb + a[4] * vc - b[4] * vd),
-            (b[4] * va + 2 * b[5] * vc, a[4] * va - b[4] * vb + 2 * a[5] * vc - 2 * b[5] * vd),
-        ]
-        alpha_pairs = [
-            (2 * b[3] * va + b[4] * vc, -(2 * a[3] * vb + a[4] * vd)),
-            (b[4] * va + 2 * b[5] * vc, -(a[4] * vb + 2 * a[5] * vd)),
-        ]
-        return alpha_pairs, beta_pairs
-    if case == CASE_A2_2:
-        gamma_pairs = [
-            (2 * a[3] * vb + a[4] * vd, 2 * a[3] * va - 2 * b[3] * vb + a[4] * vc - b[4] * vd),
-            (a[4] * vb + 2 * a[5] * vd, a[4] * va - b[4] * vb + 2 * a[5] * vc - 2 * b[5] * vd),
-        ]
-        delta_pairs = [
-            (2 * a[3] * vb + a[4] * vd, -(2 * b[3] * va + b[4] * vc)),
-            (a[4] * vb + 2 * a[5] * vd, -(b[4] * va + 2 * b[5] * vc)),
-        ]
-        return gamma_pairs, delta_pairs
-    raise ValueError(f"case {case!r} has no parameters")
+    return (m[:, 0] * v[..., 0, None] + m[:, 1] * v[..., 1, None]
+            + m[:, 2] * v[..., 2, None] + m[:, 3] * v[..., 3, None])
 
 
-def _params_given_vs(vf, case, vs):
-    first, second = [], []
-    for v in vs:
-        f, s = _param_equations(vf, case, v)
-        first.extend(f)
-        second.extend(s)
-    return (_ls_scalar(first), _ls_scalar(second))
+def _param_equations(pencil):
+    """Per parameter, the affine equations (Mk[r] v) p_k + M0[r] v = 0 on a null vector v.
+
+    Each quadratic row r of M6 (an M4 row) involves one parameter only, so
+    every row where Mk is nonzero gives one equation for p_k.  Returns one
+    matrix per parameter: the rows Mk[r], then the matching rows M0[r].
+    """
+    m0, *mks = pencil[:, _M4_ROWS]
+    equations = []
+    for mk in mks:
+        rows = np.any(mk != 0, axis=1)
+        equations.append(np.vstack([mk[rows], m0[rows]]))
+    return equations
 
 
-def _ls_scalar(pairs):
-    """Solve coef * p + const = 0 in least squares over the given pairs."""
-    num = sum(-coef * const for coef, const in pairs)
-    den = sum(coef * coef for coef, const in pairs)
-    if den < 1e-300:
-        return 0.0
-    return num / den
+def _params_given_vs(equations, vs):
+    """Least-squares parameters (..., 2) given null vectors vs (..., nv, 4)."""
+    shape = (*vs.shape[:-2], -1)
+    fits = []
+    for eq in equations:
+        n = len(eq) // 2
+        both = _dot(eq, vs)
+        fits.append(_ls_scalar(both[..., :n].reshape(shape), both[..., n:].reshape(shape)))
+    return np.stack(fits, axis=-1)
+
+
+def _ls_scalar(coef, const):
+    """Solve coef * p + const = 0 in least squares along the last axis (0 if coef vanishes).
+
+    The sums run left to right from zero, the rounding of a scalar loop.
+    """
+    terms, squares = -coef * const, coef * coef
+    num, den = np.zeros(coef.shape[:-1]), np.zeros(coef.shape[:-1])
+    for j in range(coef.shape[-1]):
+        num, den = num + terms[..., j], den + squares[..., j]
+    tiny = den < 1e-300
+    return np.where(tiny, 0.0, num / np.where(tiny, 1.0, den))
+
+
+def _rows(include_linear):
+    """The rows of M6 stacked for the search: M4, then M2 when the field has a linear part."""
+    return _M4_ROWS + _M2_ROWS if include_linear else _M4_ROWS
 
 
 def _stacked(vf, case, params, include_linear):
-    m4 = build_M4(vf, case, params)
-    if include_linear:
-        return np.vstack([m4, build_M2(vf, case, params)])
-    return m4
+    return build_M6(vf, case, params)[_rows(include_linear)]
 
 
 def _pencil_seeds(vf):
@@ -284,8 +318,8 @@ def _pencil_seeds(vf):
     return seeds
 
 
-def _linear_witness(vf):
-    """Purely linear fields: f = (a0, b0) + phi with phi the linear part."""
+def _linear_witness(vf, tol):
+    """Purely linear fields: f = (a0, b0) + phi with phi the linear part, if it certifies."""
     lin = np.array([[vf.a[1], vf.a[2]], [vf.b[1], vf.b[2]]])
     phi = SmoothMap.linear(lin, name="linear-part")
     det = np.linalg.det(lin)
@@ -294,8 +328,9 @@ def _linear_witness(vf):
         inv = np.linalg.inv(lin)
         v = np.array([inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1]])
     algebra = algebra_a2_1(0.0, 0.0)
-    fmap = vf.as_map()
-    residual = max(cre_residual(fmap, phi, algebra, u) for u in _VERIFY_GRID)
+    residual = _grid_residual(vf, phi, algebra, tol)
+    if residual is None:
+        return None
     return AlgebrizationWitness(case=CASE_A2_1, params=(0.0, 0.0),
                                 v=v if v is not None else np.full(4, np.nan),
                                 phi=phi, residual=residual, det_m4=0.0, algebra=algebra)
@@ -310,15 +345,20 @@ def algebrize(vf, cases=(CASE_A2_1, CASE_A2_2, CASE_A2_12), box=(-10.0, 10.0),
     null-vector / parameter refinement from each local minimum.  Witnesses
     are deduplicated on parameters and kept only when the grid residual is at
     most ``tol``.  An empty list means no witness was found in the box, not a
-    proof of impossibility.
+    proof of impossibility.  The box needs finite bounds lo < hi and the step
+    must be finite and positive; otherwise DegenerateParameters is raised.
     """
-    witnesses = []
-    if vf.quadratic_norm <= 1e-14:
-        w = _linear_witness(vf)
-        if w.residual <= tol:
-            witnesses.append(w)
-        return witnesses
+    lo, hi = box
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DegenerateParameters(f"search box needs finite bounds lo < hi, got {lo}, {hi}")
+    if not (math.isfinite(step) and step > 0):
+        raise DegenerateParameters(f"search step must be finite and positive, got {step}")
 
+    if vf.quadratic_norm <= 1e-14:
+        w = _linear_witness(vf, tol)
+        return [w] if w is not None else []
+
+    witnesses = []
     include_linear = vf.linear_norm > 1e-12
 
     if CASE_A2_12 in cases:
@@ -328,43 +368,40 @@ def algebrize(vf, cases=(CASE_A2_1, CASE_A2_2, CASE_A2_12), box=(-10.0, 10.0),
                 witnesses.append(w)
                 break
 
-    pencil = _pencil_seeds(vf)
-    grid = np.arange(box[0], box[1] + step / 2.0, step)
+    pencil_seeds = _pencil_seeds(vf)
+    grid = np.arange(lo, hi + step / 2.0, step)
     for case in (CASE_A2_1, CASE_A2_2):
         if case not in cases:
             continue
-        seeds = [(params, True, 5) for (c, params) in pencil if c == case]
         s_last, s_second = _grid_singular_values(vf, case, grid, include_linear)
-        seeds += [((grid[i], grid[j]), True, refine_iters)
-                  for i, j in _local_minima(s_second, count=20)]
-        seeds += [((grid[i], grid[j]), False, refine_iters)
-                  for i, j in _local_minima(s_last, count=20)]
+        groups = [
+            ([params for c, params in pencil_seeds if c == case], True, 5),
+            ([(grid[i], grid[j]) for i, j in _local_minima(s_second, count=20)],
+             True, refine_iters),
+            ([(grid[i], grid[j]) for i, j in _local_minima(s_last, count=20)],
+             False, refine_iters),
+        ]
         found = []
-        for start, pair_mode, iters in seeds:
-            refined = _alternate_refine(vf, case, start, include_linear, iters, pair_mode)
-            if refined is None:
-                continue
-            params, candidates = refined
-            if any(max(abs(params[0] - p0), abs(params[1] - p1)) < 1e-6 for p0, p1 in found):
-                continue
-            for v in candidates:
-                w = _certify(vf, case, params, v, tol=tol)
-                if w is not None:
-                    found.append(params)
-                    witnesses.append(w)
-                    break
+        for starts, pair_mode, iters in groups:
+            for params in _alternate_refine(vf, case, starts, include_linear, iters, pair_mode):
+                if params is None or any(max(abs(params[0] - p0), abs(params[1] - p1)) < 1e-6
+                                         for p0, p1 in found):
+                    continue
+                for v in _null_candidates(_stacked(vf, case, params, include_linear)):
+                    w = _certify(vf, case, params, v, tol=tol)
+                    if w is not None:
+                        found.append(params)
+                        witnesses.append(w)
+                        break
     return witnesses
 
 
 def _grid_singular_values(vf, case, grid, include_linear):
-    """Two smallest singular values of the stacked matrix over the grid."""
+    """Two smallest singular values of the stacked matrix over the grid, in one batched SVD."""
     p0, p1 = np.meshgrid(grid, grid, indexing="ij")
-    flat0, flat1 = p0.ravel(), p1.ravel()
-    mats = np.stack([
-        _stacked(vf, case, (x, y), include_linear) for x, y in zip(flat0, flat1)
-    ])
+    mats = _pencil_at(_pencil(vf, case)[:, _rows(include_linear)], p0, p1)
     svals = np.linalg.svd(mats, compute_uv=False)
-    return svals[:, -1].reshape(p0.shape), svals[:, -2].reshape(p0.shape)
+    return svals[..., -1], svals[..., -2]
 
 
 def _local_minima(smin, count):
@@ -382,26 +419,34 @@ def _local_minima(smin, count):
     return [tuple(idx[i]) for i in order[:count]]
 
 
-def _alternate_refine(vf, case, params, include_linear, iters, pair_mode):
+def _alternate_refine(vf, case, starts, include_linear, iters, pair_mode):
     """Alternate trailing-singular-vector extraction with the parameter fit.
 
     pair_mode drives both trailing singular vectors to the null space, which
     is what a field with a two-dimensional witness family needs; single mode
-    contracts onto ordinary rank-drop points.
+    contracts onto ordinary rank-drop points.  All starts step in lockstep,
+    one batched SVD per step, and each stops on its own: once its parameters
+    move by less than 1e-13, or after ``iters`` steps.  Returns the refined
+    (p, q) per start, or None where the fit left the finite numbers.
     """
-    params = tuple(float(p) for p in params)
+    pencil = _pencil(vf, case)
+    stacked = pencil[:, _rows(include_linear)]
+    equations = _param_equations(pencil)
+    params = np.array(starts, dtype=float).reshape(-1, 2)
+    failed = np.zeros(len(params), dtype=bool)
+    live = np.arange(len(params))
     for _ in range(iters):
-        mat = _stacked(vf, case, params, include_linear)
-        _, _, vt = np.linalg.svd(mat)
-        vs = [vt[-1], vt[-2]] if pair_mode else [vt[-1]]
-        new_params = _params_given_vs(vf, case, vs)
-        if not all(np.isfinite(new_params)):
-            return None
-        change = max(abs(new_params[0] - params[0]), abs(new_params[1] - params[1]))
-        params = new_params
-        if change < 1e-13:
+        if not live.size:
             break
-    return params, _null_candidates(_stacked(vf, case, params, include_linear))
+        old = params[live]
+        _, _, vt = np.linalg.svd(_pencil_at(stacked, old[:, 0], old[:, 1]))
+        vs = vt[:, [-1, -2]] if pair_mode else vt[:, [-1]]
+        new = _params_given_vs(equations, vs)
+        finite = np.isfinite(new).all(axis=1)
+        failed[live[~finite]] = True
+        params[live] = new
+        live = live[finite & ~(np.abs(new - old).max(axis=1) < 1e-13)]
+    return [None if bad else tuple(p) for p, bad in zip(params, failed)]
 
 
 # -- the quadratic field attached to triangular billiards ----------------------

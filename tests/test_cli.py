@@ -1,10 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phialg.algebra import algebra_a3_1
 from phialg.cli import main
+
+
+GOLDEN = Path(__file__).parent / "data" / "algebrize_golden.json"
+BILLIARDS_VF = "0,0,0,1,-2,0,0,0,0,0,-2,1"
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +175,27 @@ def test_algebrize_command(capsys):
     assert any(w["case"] == "A2_1"
                and abs(w["params"][0] + 1) < 1e-6 and abs(w["params"][1] + 1) < 1e-6
                for w in data["witnesses"])
+
+
+def test_algebrize_json_is_byte_identical_to_golden(capsys):
+    for case in json.loads(GOLDEN.read_text()):
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert code == case["exit"], case["field"]
+        assert out == case["stdout"], case["field"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--vf", "nan,0,0,1,-2,0,0,0,0,0,-2,1", "--box=-3,3"],
+    ["--vf", "inf,0,0,1,-2,0,0,0,0,0,-2,1", "--box=-3,3"],
+    ["--vf", BILLIARDS_VF, "--step", "0"],
+    ["--vf", BILLIARDS_VF, "--step", "-0.5"],
+    ["--vf", BILLIARDS_VF, "--box=3,-3"],
+])
+def test_algebrize_bad_input_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, "--json", "algebrize", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_integrate_with_algebra_file_and_poly_function(tmp_path, capsys):

@@ -2,12 +2,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from phialg import quadratic
 from phialg.algebra import algebra_a2_1, algebra_a2_12, algebra_a2_2
 from phialg.calculus import cre_residual
-from phialg.errors import DegenerateParameters
+from phialg.errors import DegenerateParameters, PhialgError
 from phialg.maps import SmoothMap
 from phialg.quadratic import (
     QuadraticVF,
+    _certify,
+    _grid_singular_values,
+    _pencil,
+    _stacked,
     algebrize,
     billiards_field,
     billiards_parameters,
@@ -198,3 +203,99 @@ def test_phi_from_witness_certifies(rng):
         for _ in range(5):
             u = rng.uniform(-1, 1, 2)
             assert cre_residual(fmap, w.phi, w.algebra, u) <= 1e-7
+
+
+def _entrywise_m6(vf, case, params):
+    """M6 written out entry by entry: the reference for the pencil."""
+    a, b = vf.a, vf.b
+    if case == "A2_1":
+        alpha, beta = params
+        return np.array([
+            [beta * b[1] + a[1], -b[1], beta * b[2] + a[2], -b[2]],
+            [2 * beta * b[3] + 2 * a[3], -2 * b[3], beta * b[4] + a[4], -b[4]],
+            [beta * b[4] + a[4], -b[4], 2 * beta * b[5] + 2 * a[5], -2 * b[5]],
+            [alpha * b[1], -a[1], alpha * b[2], -a[2]],
+            [2 * alpha * b[3], -2 * a[3], alpha * b[4], -a[4]],
+            [alpha * b[4], -a[4], 2 * alpha * b[5], -2 * a[5]],
+        ])
+    if case == "A2_2":
+        gamma, delta = params
+        return np.array([
+            [a[1], gamma * a[1] - b[1], a[2], gamma * a[2] - b[2]],
+            [2 * a[3], 2 * gamma * a[3] - 2 * b[3], a[4], gamma * a[4] - b[4]],
+            [a[4], gamma * a[4] - b[4], 2 * a[5], 2 * gamma * a[5] - 2 * b[5]],
+            [b[1], -delta * a[1], b[2], -delta * a[2]],
+            [2 * b[3], -2 * delta * a[3], b[4], -delta * a[4]],
+            [b[4], -delta * a[4], 2 * b[5], -2 * delta * a[5]],
+        ])
+    return np.array([
+        [0.0, a[1], 0.0, a[2]],
+        [0.0, 2 * a[3], 0.0, a[4]],
+        [0.0, a[4], 0.0, 2 * a[5]],
+        [b[1], 0.0, b[2], 0.0],
+        [2 * b[3], 0.0, b[4], 0.0],
+        [b[4], 0.0, 2 * b[5], 0.0],
+    ])
+
+
+def test_pencil_reproduces_m6_exactly(rng):
+    for _ in range(20):
+        vf = QuadraticVF(a=tuple(rng.uniform(-3, 3, 6)), b=tuple(rng.uniform(-3, 3, 6)))
+        for case in ("A2_1", "A2_2", "A2_12"):
+            p, q = rng.uniform(-10, 10, 2)
+            m0, m1, m2 = _pencil(vf, case)
+            expected = _entrywise_m6(vf, case, (p, q))
+            assert np.array_equal(m0 + p * m1 + q * m2, expected)
+            params = (p, q) if case != "A2_12" else ()
+            assert np.array_equal(build_M6(vf, case, params), expected)
+
+
+def test_grid_scan_matches_per_point_svd(rng):
+    vf = QuadraticVF(a=tuple(rng.uniform(-2, 2, 6)), b=tuple(rng.uniform(-2, 2, 6)))
+    grid = np.arange(-2.0, 2.25, 0.5)
+    for case in ("A2_1", "A2_2"):
+        for include_linear in (False, True):
+            s_last, s_second = _grid_singular_values(vf, case, grid, include_linear)
+            per_point = np.array([
+                [np.linalg.svd(_stacked(vf, case, (x, y), include_linear), compute_uv=False)
+                 for y in grid]
+                for x in grid
+            ])
+            assert np.array_equal(s_last, per_point[..., -1])
+            assert np.array_equal(s_second, per_point[..., -2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quadratic_vf_rejects_non_finite_coefficients(bad):
+    with pytest.raises(PhialgError):
+        QuadraticVF(a=(bad, 0.0, 0.0, 1.0, -2.0, 0.0), b=(0.0, 0.0, 0.0, 0.0, -2.0, 1.0))
+    with pytest.raises(PhialgError):
+        QuadraticVF(a=(0.0, 0.0, 0.0, 1.0, -2.0, 0.0), b=(0.0, 0.0, 0.0, 0.0, -2.0, bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certification_rejects_non_finite_residual(monkeypatch, bad):
+    vf = billiards_field(1.0, 1.0, 1.0).quadratic_vf
+    alpha, beta, v = billiards_parameters(1.0, 1.0, 1.0)
+    linear = QuadraticVF(a=(0.5, 1.0, 2.0, 0.0, 0.0, 0.0), b=(-0.3, 3.0, 4.0, 0.0, 0.0, 0.0))
+    assert _certify(vf, "A2_1", (alpha, beta), v) is not None
+    assert algebrize(linear)
+
+    def patch_residuals():
+        # a passing point, a non-finite one, then passing points
+        values = iter([0.0, bad] + [0.0] * 23)
+        monkeypatch.setattr(quadratic, "cre_residual", lambda *args: next(values))
+
+    patch_residuals()
+    assert _certify(vf, "A2_1", (alpha, beta), v) is None
+    patch_residuals()
+    assert algebrize(linear) == []
+
+
+@pytest.mark.parametrize("box, step", [
+    ((-3.0, 3.0), 0.0), ((-3.0, 3.0), -0.5), ((-3.0, 3.0), np.nan), ((-3.0, 3.0), np.inf),
+    ((3.0, -3.0), 0.25), ((3.0, 3.0), 0.25), ((-np.inf, 3.0), 0.25), ((-3.0, np.nan), 0.25),
+])
+def test_algebrize_rejects_bad_box_or_step(box, step):
+    with pytest.raises(DegenerateParameters):
+        algebrize(billiards_field(1.0, 1.0, 1.0).quadratic_vf, box=box, step=step)
