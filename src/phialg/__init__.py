@@ -12,14 +12,11 @@ from .algebra import (
     algebra_a2_12,
     algebra_a2_2,
     algebra_a3_1,
-    algebra_from_constants,
     a3_1_dependent_params,
     complex_algebra,
 )
 from .calculus import (
     DiffReport,
-    compose_inner,
-    compose_outer,
     cre_residual,
     factor_through_phi,
     find_regular_direction,

@@ -15,6 +15,7 @@ from scipy.linalg import expm
 
 from .errors import (
     AssociativityViolation,
+    DegenerateParameters,
     DimensionMismatch,
     NotAssociative,
     NotCommutative,
@@ -46,6 +47,7 @@ class Algebra:
     check : bool
         Validate commutativity, the unit, and associativity on
         construction (raising NotCommutative / NoUnit / NotAssociative).
+        Non-finite constants or unit raise DegenerateParameters either way.
     """
 
     def __init__(self, constants, unit, scalars="real", name="", check=True):
@@ -59,6 +61,8 @@ class Algebra:
         n = constants.shape[0]
         if unit.shape != (n,):
             raise DimensionMismatch(f"unit must have length {n}, got {unit.shape}")
+        if not (np.isfinite(constants).all() and np.isfinite(unit).all()):
+            raise DegenerateParameters("structure constants and unit must be finite")
         self.dim = n
         self.scalars = scalars
         self.name = name
@@ -130,9 +134,6 @@ class Algebra:
         if s[0] == 0.0 or s[-1] < SINGULAR_RTOL * s[0]:
             raise SingularElement(f"element {a} is singular (smin/smax={s[-1]:.2e}/{s[0]:.2e})")
         return np.linalg.solve(r, self.unit)
-
-    def div(self, a, b):
-        return self.product(a, self.inverse(b))
 
     def power(self, a, m):
         if m < 0 or int(m) != m:
@@ -285,16 +286,6 @@ def algebra_a3_1(p):
     c[2, 1] = [p8, p3, p4]
     c[2, 2] = [p9, p5, p6]
     try:
-        alg = Algebra(c, [1.0, 0.0, 0.0], name=f"A3_1{p}")
+        return Algebra(c, [1.0, 0.0, 0.0], name=f"A3_1{p}")
     except NotAssociative as exc:
         raise AssociativityViolation(str(exc)) from exc
-    scale = max(1.0, float(np.max(np.abs(c)))) ** 2
-    dev, triple = alg.associativity_defect()
-    if dev > 1e-10 * scale:
-        raise AssociativityViolation(f"defect {dev:.3e} at triple {triple}")
-    return alg
-
-
-def algebra_from_constants(constants, unit, scalars="real", name=""):
-    """General constructor; validates all three axioms with specific errors."""
-    return Algebra(constants, unit, scalars=scalars, name=name, check=True)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PhiNotInvertible, SingularElement
-from .maps import SmoothMap, compose
+from .maps import SmoothMap, worst_of
 
 UNIQUE_RTOL = 1e-10
-DIFFERENTIABLE_TOL = 1e-6
 
 
 @dataclass
@@ -59,28 +58,21 @@ def phi_derivative(f, phi, algebra, u):
     return DiffReport(derivative=g, residual=residual, unique=unique)
 
 
-def is_phi_differentiable(f, phi, algebra, u, tol=DIFFERENTIABLE_TOL):
-    return phi_derivative(f, phi, algebra, u).residual <= tol
-
-
 def cre_residual(f, phi, algebra, u):
     """Largest violation of the generalized Cauchy-Riemann system at u.
 
     One equation per independent-variable pair i<j and algebra component q;
     the residual is normalized by the Jacobian magnitudes so tolerances are
-    scale free.
+    scale free, and is non-finite when any equation is.
     """
     _check_shapes(f, phi, algebra)
     u = np.asarray(u, dtype=float)
     jf = f.jacobian(u)
     jphi = phi.jacobian(u)
     k = phi.k
-    worst = 0.0
     reps = [algebra.rep(jphi[:, i]) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            eqs = reps[j] @ jf[:, i] - reps[i] @ jf[:, j]
-            worst = max(worst, float(np.abs(eqs).max()))
+    worst = worst_of([float(np.abs(reps[j] @ jf[:, i] - reps[i] @ jf[:, j]).max())
+                      for i in range(k) for j in range(i + 1, k)])
     denom = 1.0 + float(np.linalg.norm(jf)) * float(np.linalg.norm(jphi))
     return worst / denom
 
@@ -188,20 +180,6 @@ def phi_reciprocal_power(phi, algebra, n=1, name=""):
     zero = algebra.zero()
     den = [zero] * n + [unit]
     return phi_rational([unit], den, phi, algebra, name=name or f"e/phi^{n}")
-
-
-# -- chain-rule helpers --------------------------------------------------------
-
-
-def compose_outer(g, f, name=""):
-    """g after f: used to check (g o f)'_phi = (g' o f) * f'_phi."""
-    return compose(g, f, name=name)
-
-
-def compose_inner(f, g, name=""):
-    """f after the inner map g: h = f o g is differentiable relative to
-    (phi o g) with h'(v) = f'_phi(g(v)); pair with compose(phi, g)."""
-    return compose(f, g, name=name)
 
 
 # -- factorization through the reference map ----------------------------------

@@ -164,79 +164,36 @@ def _standard_functions(phi, algebra, include_reciprocal=True):
 
 
 def default_families():
-    """The worked-example families exercised throughout the test suite."""
-    families = []
+    """The worked-example families exercised throughout the test suite.
 
+    One row per family: name, algebra, phi, sampler, whether e/phi is among
+    the functions, and whether dphi reaches a regular element.
+    """
     c = complex_algebra()
-    families.append(ExampleFamily(
-        name="complex-swap", algebra=c, phi=swap_map(),
-        functions=_standard_functions(swap_map(), c),
-        sampler=_shifted_sampler([1.2, 0.8], 0.5, 2)))
-
-    families.append(ExampleFamily(
-        name="complex-proj-second", algebra=c, phi=proj_second_map(),
-        functions=_standard_functions(proj_second_map(), c),
-        sampler=_shifted_sampler([0.4, 1.5], 0.4, 2)))
-
-    families.append(ExampleFamily(
-        name="complex-swap-sum", algebra=c, phi=swap_sum_map(),
-        functions=_standard_functions(swap_sum_map(), c),
-        sampler=_shifted_sampler([1.1, 0.9], 0.4, 2)))
-
-    families.append(ExampleFamily(
-        name="complex-fold", algebra=c, phi=fold_3to2_map(),
-        functions=_standard_functions(fold_3to2_map(), c),
-        sampler=_shifted_sampler([0.9, 0.7, 0.5], 0.3, 3)))
-
-    families.append(ExampleFamily(
-        name="complex-nonlinear", algebra=c, phi=nonlinear_3to2_map(),
-        functions=_standard_functions(nonlinear_3to2_map(), c),
-        sampler=_shifted_sampler([0.8, 1.2, 0.6], 0.3, 3)))
-
-    s31 = section31_algebra()
-    families.append(ExampleFamily(
-        name="threedim-embed-xy0", algebra=s31, phi=embed_xy0_map(),
-        functions=_standard_functions(embed_xy0_map(), s31),
-        sampler=_shifted_sampler([2.5, 0.4], 0.35, 2)))
-
-    generic = algebra_a3_1((0.3, -0.2, 0.5, 0.1, -0.4, 0.2))
-    families.append(ExampleFamily(
-        name="threedim-embed-x0y", algebra=generic, phi=embed_x0y_map(),
-        functions=_standard_functions(embed_x0y_map(), generic, include_reciprocal=False),
-        sampler=_shifted_sampler([2.0, 0.3], 0.3, 2)))
-
-    degenerate = algebra_a3_1((0.0,) * 6)
-    families.append(ExampleFamily(
-        name="threedim-embed-0xy-degenerate", algebra=degenerate, phi=embed_0xy_map(),
-        functions=_standard_functions(embed_0xy_map(), degenerate, include_reciprocal=False),
-        sampler=_box_sampler(-1.0, 1.0, 2),
-        has_regular_direction=False))
-
-    split = algebra_a2_12()
-    families.append(ExampleFamily(
-        name="split-identity", algebra=split, phi=SmoothMap.identity(2),
-        functions=_standard_functions(SmoothMap.identity(2), split),
-        sampler=_shifted_sampler([1.4, 1.1], 0.5, 2)))
-
-    a21 = algebra_a2_1(0.7, -0.4)
-    phi_a21 = SmoothMap.linear(np.array([[1.0, 0.5], [-0.3, 1.2]]), name="generic-linear")
-    families.append(ExampleFamily(
-        name="param-family-linear", algebra=a21, phi=phi_a21,
-        functions=_standard_functions(phi_a21, a21),
-        sampler=_shifted_sampler([1.5, 0.9], 0.4, 2)))
-
-    a22 = algebra_a2_2(0.4, 0.9)
-    phi_a22 = SmoothMap.linear(np.array([[0.8, -0.2], [0.4, 1.1]]), name="generic-linear-2")
-    families.append(ExampleFamily(
-        name="second-family-linear", algebra=a22, phi=phi_a22,
-        functions=_standard_functions(phi_a22, a22),
-        sampler=_shifted_sampler([1.2, 1.3], 0.4, 2)))
-
-    return families
-
-
-def family_by_name(name):
-    for fam in default_families():
-        if fam.name == name:
-            return fam
-    raise KeyError(f"unknown family {name!r}")
+    rows = [
+        ("complex-swap", c, swap_map(), _shifted_sampler([1.2, 0.8], 0.5, 2), True, True),
+        ("complex-proj-second", c, proj_second_map(),
+         _shifted_sampler([0.4, 1.5], 0.4, 2), True, True),
+        ("complex-swap-sum", c, swap_sum_map(), _shifted_sampler([1.1, 0.9], 0.4, 2), True, True),
+        ("complex-fold", c, fold_3to2_map(), _shifted_sampler([0.9, 0.7, 0.5], 0.3, 3), True, True),
+        ("complex-nonlinear", c, nonlinear_3to2_map(),
+         _shifted_sampler([0.8, 1.2, 0.6], 0.3, 3), True, True),
+        ("threedim-embed-xy0", section31_algebra(), embed_xy0_map(),
+         _shifted_sampler([2.5, 0.4], 0.35, 2), True, True),
+        ("threedim-embed-x0y", algebra_a3_1((0.3, -0.2, 0.5, 0.1, -0.4, 0.2)), embed_x0y_map(),
+         _shifted_sampler([2.0, 0.3], 0.3, 2), False, True),
+        ("threedim-embed-0xy-degenerate", algebra_a3_1((0.0,) * 6), embed_0xy_map(),
+         _box_sampler(-1.0, 1.0, 2), False, False),
+        ("split-identity", algebra_a2_12(), SmoothMap.identity(2),
+         _shifted_sampler([1.4, 1.1], 0.5, 2), True, True),
+        ("param-family-linear", algebra_a2_1(0.7, -0.4),
+         SmoothMap.linear(np.array([[1.0, 0.5], [-0.3, 1.2]]), name="generic-linear"),
+         _shifted_sampler([1.5, 0.9], 0.4, 2), True, True),
+        ("second-family-linear", algebra_a2_2(0.4, 0.9),
+         SmoothMap.linear(np.array([[0.8, -0.2], [0.4, 1.1]]), name="generic-linear-2"),
+         _shifted_sampler([1.2, 1.3], 0.4, 2), True, True),
+    ]
+    return [ExampleFamily(name=name, algebra=algebra, phi=phi,
+                          functions=_standard_functions(phi, algebra, include_reciprocal=recip),
+                          sampler=sampler, has_regular_direction=regular)
+            for name, algebra, phi, sampler, recip, regular in rows]

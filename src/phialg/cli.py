@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from . import paper_examples
-from .algebra import Algebra
+from .algebra import Algebra, algebra_a2_1
 from .calculus import phi_polynomial, phi_reciprocal_power
 from .catalog import build_algebra, build_phi
 from .cre import TwoPDESystem, emit_cre, find_equivalence_matrix, recover_phi_algebra
@@ -37,13 +38,19 @@ from .quadratic import QuadraticVF, algebrize, verify_billiards_algebrization
 PASS, FAIL, USAGE = 0, 1, 2
 
 
+def _finite(value, label="number"):
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value}")
+    return value
+
+
 def _floats(text):
-    return [float(x) for x in text.split(",") if x != ""]
+    return [_finite(float(x)) for x in text.split(",") if x != ""]
 
 
 def _emit(args, payload, human):
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     else:
         print(human)
 
@@ -83,7 +90,7 @@ def _parse_loop(spec):
         if not item:
             continue
         key, _, val = item.partition("=")
-        opts[key] = float(val)
+        opts[key] = _finite(float(val), key)
     if kind == "circle":
         return Path.circle(center=(opts.get("cx", 0.0), opts.get("cy", 0.0)),
                            radius=opts.get("r", 1.0))
@@ -292,8 +299,6 @@ def cmd_pde(args):
         a, b, c, d = _floats(args.coeffs)
         pde = FirstOrderPDE(a=a, b=b, c=c, d=d)
         phi = first_order_phi(pde, args.alpha, args.beta)
-        from .algebra import algebra_a2_1
-
         alg = algebra_a2_1(args.alpha, args.beta)
         fn = phi_polynomial([alg.zero(), alg.zero(), alg.unit], phi, alg)
         residual = pde.residual(fn, pts)
@@ -353,17 +358,13 @@ def cmd_pde(args):
 
 
 def cmd_paper_examples(args):
+    start = time.perf_counter()
     rows = paper_examples.run_all(seed=args.seed)
-    if args.json:
-        print(json.dumps({"command": "paper-examples",
-                          "checks": [r.as_dict() for r in rows],
-                          "pass": all(r.passed for r in rows)},
-                         sort_keys=True, indent=2))
-    else:
-        start = time.perf_counter()
-        print(paper_examples.format_table(rows))
-        print(f"(formatted in {time.perf_counter() - start:.3f}s)")
-    return PASS if all(r.passed for r in rows) else FAIL
+    passed = all(r.passed for r in rows)
+    _emit(args, {"command": "paper-examples", "checks": [r.as_dict() for r in rows],
+                 "pass": passed},
+          f"{paper_examples.format_table(rows)}\n(ran in {time.perf_counter() - start:.3f}s)")
+    return PASS if passed else FAIL
 
 
 # -- parser ---------------------------------------------------------------------
@@ -447,6 +448,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float):
+                _finite(value, f"--{name}")
         return args.func(args)
     except (PhialgError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -108,11 +108,17 @@ class CRESystem:
         return " \\\\\n".join(lines)
 
 
-def _cre_matrix_at(algebra, jphi, i, j):
-    """Coefficient block (n, k) of the (i, j, :) equations at one point."""
-    rep_j = algebra.rep(jphi[:, j])
-    rep_i = algebra.rep(jphi[:, i])
-    return rep_j, rep_i
+def _cr_blocks(algebra, jphi, i, j):
+    """(n, n, k) coefficient blocks of the equations (i, j, q), indexed by q.
+
+    Block q holds rep(dphi_j)[q] in the d/du_i column and -rep(dphi_i)[q] in
+    the d/du_j column; its rows run over the components f_m.
+    """
+    n, k = jphi.shape
+    blocks = np.zeros((n, n, k))
+    blocks[:, :, i] = algebra.rep(jphi[:, j])
+    blocks[:, :, j] = -algebra.rep(jphi[:, i])
+    return blocks
 
 
 def emit_cre(algebra, phi):
@@ -129,29 +135,18 @@ def emit_cre(algebra, phi):
     k, n = phi.k, algebra.dim
     constant = hasattr(phi, "matrix")
     equations = []
-    if constant:
-        jphi = phi.matrix
-        for i in range(k):
-            for j in range(i + 1, k):
-                rep_j, rep_i = _cre_matrix_at(algebra, jphi, i, j)
-                for q in range(n):
-                    coeffs = np.zeros((n, k))
-                    coeffs[:, i] = rep_j[q, :]
-                    coeffs[:, j] = -rep_i[q, :]
-                    equations.append(CREquation(i=i, j=j, q=q, coeffs=coeffs))
-    else:
-        for i in range(k):
-            for j in range(i + 1, k):
-                for q in range(n):
+    for i in range(k):
+        for j in range(i + 1, k):
+            if constant:
+                blocks = _cr_blocks(algebra, phi.matrix, i, j)
+            for q in range(n):
+                if constant:
+                    coeffs = blocks[q]
+                else:
                     def coeffs(u, i=i, j=j, q=q):
-                        jphi = phi.jacobian(u)
-                        rep_j, rep_i = _cre_matrix_at(algebra, jphi, i, j)
-                        out = np.zeros((n, k))
-                        out[:, i] = rep_j[q, :]
-                        out[:, j] = -rep_i[q, :]
-                        return out
+                        return _cr_blocks(algebra, phi.jacobian(u), i, j)[q]
 
-                    equations.append(CREquation(i=i, j=j, q=q, coeffs=coeffs))
+                equations.append(CREquation(i=i, j=j, q=q, coeffs=coeffs))
     return CRESystem(equations, k=k, n=n, constant=constant)
 
 
@@ -262,10 +257,8 @@ def two_pde_from_cre(system):
     """Repackage a constant planar CRE system as a TwoPDESystem."""
     if system.k != 2 or system.n != 2 or not system.constant:
         raise DimensionMismatch("need a constant-coefficient system with k = n = 2")
-    matrix = np.zeros((2, 4))
-    for row, eq in enumerate(system.equations):
-        matrix[row] = [eq.coeffs[0, 0], eq.coeffs[0, 1], eq.coeffs[1, 0], eq.coeffs[1, 1]]
-    return TwoPDESystem.from_constant(matrix)
+    # a flattened (2, 2) block reads (u_x, u_y, v_x, v_y), the COLUMNS order
+    return TwoPDESystem.from_constant(system.coefficient_tensor().reshape(2, 4))
 
 
 # -- recovery -------------------------------------------------------------------
@@ -356,20 +349,12 @@ def _cyclic_mixing(p, diag_first):
     diag_first=True targets [[0, a],[1, b]] (row pattern of the family with
     unit e1); False targets [[g, 1],[d, 0]].
     """
-    if diag_first:
-        beta = float(np.trace(p))
-        for m2 in (np.array([0.0, 1.0]), np.array([1.0, 0.0])):
-            m1 = m2 @ (p - beta * np.eye(2))
-            m = np.stack([m1, m2])
-            if abs(np.linalg.det(m)) > 1e-12 * max(1.0, float(np.abs(m).max()) ** 2):
-                return m
-    else:
-        gamma = float(np.trace(p))
-        for m1 in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-            m2 = m1 @ (p - gamma * np.eye(2))
-            m = np.stack([m1, m2])
-            if abs(np.linalg.det(m)) > 1e-12 * max(1.0, float(np.abs(m).max()) ** 2):
-                return m
+    fixed = 1 if diag_first else 0
+    shifted = p - float(np.trace(p)) * np.eye(2)
+    for row in np.eye(2)[[fixed, 1 - fixed]]:
+        m = np.stack([row @ shifted, row] if diag_first else [row, row @ shifted])
+        if abs(np.linalg.det(m)) > 1e-12 * max(1.0, float(np.abs(m).max()) ** 2):
+            return m
     return None
 
 
@@ -406,12 +391,7 @@ class _PointwiseCRE:
 
     def at(self, point):
         jphi = self.phi.jacobian(np.asarray(point, dtype=float))
-        rep_y = self.algebra.rep(jphi[:, 1])
-        rep_x = self.algebra.rep(jphi[:, 0])
-        rows = np.zeros((2, 4))
-        for q in range(2):
-            rows[q] = [rep_y[q, 0], -rep_x[q, 0], rep_y[q, 1], -rep_x[q, 1]]
-        return rows
+        return _cr_blocks(self.algebra, jphi, 0, 1).reshape(2, 4)
 
     def rhs_at(self, point):
         return np.zeros(2)
@@ -421,8 +401,7 @@ def find_equivalence_matrix(s1, s2, points, tol=EQUIV_TOL, det_tol=1e-12):
     """Pointwise row transformations M with M*A1 = A2 and M*F1 = F2.
 
     Raises NotEquivalent when any sample point fails the residual or
-    nondegeneracy requirement; otherwise returns the per-point matrices
-    together with a callable evaluator.
+    nondegeneracy requirement; otherwise returns the per-point matrices.
     """
     matrices = []
     for pt in points:
@@ -437,21 +416,13 @@ def find_equivalence_matrix(s1, s2, points, tol=EQUIV_TOL, det_tol=1e-12):
         if abs(np.linalg.det(m)) < det_tol:
             raise NotEquivalent(f"transformation degenerate at point {tuple(pt)}")
         matrices.append(m)
-    return EquivalenceMap(points=list(points), matrices=matrices, s1=s1, s2=s2)
+    return EquivalenceMap(points=list(points), matrices=matrices)
 
 
 @dataclass
 class EquivalenceMap:
     points: list
     matrices: list
-    s1: object = None
-    s2: object = None
-
-    def __call__(self, point):
-        a1 = np.column_stack([self.s1.at(point), self.s1.rhs_at(point)])
-        a2 = np.column_stack([self.s2.at(point), self.s2.rhs_at(point)])
-        mt, _, _, _ = np.linalg.lstsq(a1.T, a2.T, rcond=None)
-        return mt.T
 
 
 def recover_phi_algebra(system, cases=("A2_1", "A2_2", "A2_12")):
@@ -480,28 +451,21 @@ def recover_phi_algebra(system, cases=("A2_1", "A2_2", "A2_12")):
 
     for case in cases:
         try:
-            if case == "A2_1":
-                p = _constant_ratio(b_v, b_u)
+            if case in ("A2_1", "A2_2"):
+                # A2_1: b_v = P b_u, params (-det P, tr P); A2_2: b_u = P b_v, (tr P, -det P)
+                unit_e1 = case == "A2_1"
+                num, den = (b_v, b_u) if unit_e1 else (b_u, b_v)
+                p = _constant_ratio(num, den)
                 if p is None:
                     continue
-                alpha, beta = -float(np.linalg.det(p)), float(np.trace(p))
-                mixing = _cyclic_mixing(p, diag_first=True)
+                trace, neg_det = float(np.trace(p)), -float(np.linalg.det(p))
+                params = (neg_det, trace) if unit_e1 else (trace, neg_det)
+                mixing = _cyclic_mixing(p, diag_first=unit_e1)
                 if mixing is None:
                     continue
-                g_block = _poly_matmul(mixing, b_u)
-                rec = _finish(case, (alpha, beta), algebra_a2_1(alpha, beta),
-                              mixing, g_block, normalize_rows=False)
-            elif case == "A2_2":
-                p = _constant_ratio(b_u, b_v)
-                if p is None:
-                    continue
-                gamma, delta = float(np.trace(p)), -float(np.linalg.det(p))
-                mixing = _cyclic_mixing(p, diag_first=False)
-                if mixing is None:
-                    continue
-                g_block = _poly_matmul(mixing, b_v)
-                rec = _finish(case, (gamma, delta), algebra_a2_2(gamma, delta),
-                              mixing, g_block, normalize_rows=False)
+                algebra = (algebra_a2_1 if unit_e1 else algebra_a2_2)(*params)
+                rec = _finish(case, params, algebra, mixing, _poly_matmul(mixing, den),
+                              normalize_rows=False)
             elif case == "A2_12":
                 m1 = _left_null_vector(b_v)
                 m2 = _left_null_vector(b_u)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .maps import SmoothMap, fd_step
+from .errors import DegenerateParameters, DimensionMismatch
+from .maps import SmoothMap, fd_partial, fd_step
 
 CLOSED_TOL = 1e-12
 FLOOR = 1e-13
@@ -23,15 +23,16 @@ class Path:
     """Differentiable parameterization gamma: [0, t1] -> R^k.
 
     ``derivative`` is used when supplied; otherwise the velocity comes from
-    central differences.  ``segments`` is the default Simpson subdivision
-    count.  A path flagged closed must satisfy |gamma(0) - gamma(t1)| <= 1e-12.
+    central differences (``maps.fd_partial``).  ``segments`` is the default
+    Simpson subdivision count, at least 1.  A path flagged closed must satisfy
+    |gamma(0) - gamma(t1)| <= 1e-12.
     """
 
     def __init__(self, gamma, t1, derivative=None, segments=256, closed=False):
         self.gamma = gamma
         self.t1 = float(t1)
         self.derivative = derivative
-        self.segments = int(segments)
+        self.segments = _segment_count(segments)
         self.closed = bool(closed)
         if closed:
             gap = float(np.linalg.norm(self.point(0.0) - self.point(self.t1)))
@@ -44,8 +45,8 @@ class Path:
     def velocity(self, t):
         if self.derivative is not None:
             return np.asarray(self.derivative(t), dtype=float)
-        h = fd_step(np.array([t]))
-        return (self.point(t + h) - self.point(t - h)) / (2.0 * h)
+        t = np.array([t], dtype=float)
+        return fd_partial(lambda s: self.point(s[0]), t, (1,), fd_step(t))
 
     @classmethod
     def segment(cls, u0, u1, segments=256):
@@ -68,6 +69,13 @@ class Path:
         return cls(gamma, 2.0 * np.pi, derivative=vel, segments=segments, closed=True)
 
 
+def _segment_count(segments):
+    n = int(segments)
+    if n < 1:
+        raise DegenerateParameters(f"a path needs at least 1 segment, got {segments}")
+    return n
+
+
 def _integrand(f, phi, algebra, path):
     def value(t):
         u = path.point(t)
@@ -80,8 +88,7 @@ def line_integral(f, phi, algebra, path, segments=None):
     """Composite-Simpson value of the algebra-valued line integral of f."""
     if f.n != algebra.dim or phi.n != algebra.dim or f.k != phi.k:
         raise DimensionMismatch("f, phi and the algebra must share dimensions")
-    n = segments if segments is not None else path.segments
-    n = int(n)
+    n = _segment_count(segments) if segments is not None else path.segments
     if n % 2:
         n += 1
     ts = np.linspace(0.0, path.t1, n + 1)
@@ -171,7 +178,7 @@ def antiderivative(f, phi, algebra, u0, segments=256, name=""):
 
     def func(u):
         u = np.asarray(u, dtype=float)
-        if np.allclose(u, u0):
+        if np.array_equal(u, u0):
             return algebra.zero().astype(float)
         return line_integral(f, phi, algebra, Path.segment(u0, u, segments=segments))
 

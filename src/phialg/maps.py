@@ -1,4 +1,9 @@
-"""Differentiable maps R^k -> R^n as evaluation plus Jacobian callables."""
+"""Differentiable maps R^k -> R^n as evaluation plus Jacobian callables.
+
+``fd_partial`` is the package's one finite-difference engine: the Jacobian
+fallback of ``SmoothMap``, path velocities, the ODE residuals and the PDE
+substitution residuals all take their central differences from it.
+"""
 
 from __future__ import annotations
 
@@ -13,19 +18,46 @@ def fd_step(u, base=FD_STEP):
     return base * (1.0 + float(np.linalg.norm(u)))
 
 
-def fd_jacobian(func, u, n=None, base=FD_STEP):
-    """Central-difference Jacobian with step scaled by the point's norm."""
+def worst_of(residuals):
+    """Largest of the residuals (0.0 for none), and nan when any is nan.
+
+    ``max`` would return a finite value past a nan, passing a check it fails.
+    """
+    return float(np.max(residuals, initial=0.0))
+
+
+def fd_partial(func, point, orders, h):
+    """Central-difference partial derivative with per-variable orders (total <= 2)."""
+    point = np.asarray(point, dtype=float)
+    idx = [i for i, o in enumerate(orders) for _ in range(o)]
+    total = len(idx)
+    if total == 0:
+        return func(point)
+    if total == 1:
+        e = np.zeros_like(point)
+        e[idx[0]] = h
+        return (func(point + e) - func(point - e)) / (2.0 * h)
+    if total == 2 and idx[0] == idx[1]:
+        e = np.zeros_like(point)
+        e[idx[0]] = h
+        return (func(point + e) - 2.0 * func(point) + func(point - e)) / (h * h)
+    if total == 2:
+        e1 = np.zeros_like(point)
+        e2 = np.zeros_like(point)
+        e1[idx[0]] = h
+        e2[idx[1]] = h
+        return (func(point + e1 + e2) - func(point + e1 - e2)
+                - func(point - e1 + e2) + func(point - e1 - e2)) / (4.0 * h * h)
+    raise ValueError("only derivatives up to total order 2 are supported")
+
+
+def fd_jacobian(func, u, base=FD_STEP):
+    """Central-difference Jacobian, one ``fd_partial`` column per variable, with
+    step scaled by the point's norm."""
     u = np.asarray(u, dtype=float)
     h = fd_step(u, base)
-    if n is None:
-        n = np.atleast_1d(np.asarray(func(u))).shape[0]
-    k = u.shape[0]
-    jac = np.zeros((n, k))
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = h
-        jac[:, i] = (np.asarray(func(u + e)) - np.asarray(func(u - e))) / (2.0 * h)
-    return jac
+    return np.column_stack([fd_partial(func, u, orders, h)
+                            for orders in np.eye(u.shape[0], dtype=int)])
 
 
 class SmoothMap:
@@ -59,11 +91,7 @@ class SmoothMap:
             if jac.shape != (self.n, self.k):
                 raise DimensionMismatch(f"Jacobian shape {jac.shape}, wanted ({self.n}, {self.k})")
             return jac
-        return fd_jacobian(self.__call__, u, n=self.n)
-
-    @property
-    def has_analytic_jacobian(self):
-        return self._jac is not None
+        return fd_jacobian(self.__call__, u)
 
     @classmethod
     def linear(cls, matrix, name=""):
@@ -107,7 +135,7 @@ def jacobian_consistency(smooth_map, points, rtol=1e-4):
     worst = 0.0
     for u in points:
         analytic = smooth_map.jacobian(np.asarray(u, dtype=float))
-        numeric = fd_jacobian(smooth_map, np.asarray(u, dtype=float), n=smooth_map.n)
+        numeric = fd_jacobian(smooth_map, np.asarray(u, dtype=float))
         scale = max(1.0, float(np.abs(analytic).max()))
         worst = max(worst, float(np.abs(analytic - numeric).max()) / scale)
     return worst

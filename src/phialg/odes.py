@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NewtonDivergence, NoConvergence
 from .integrals import Path, line_integral
-from .maps import SmoothMap, fd_jacobian
+from .maps import SmoothMap, fd_jacobian, worst_of
 
 RESIDUAL_STEP = 1e-6
 
@@ -29,20 +29,20 @@ class SolutionSamples:
 
 
 def solution_residual(w, rhs, phi, algebra, grid, step=RESIDUAL_STEP):
-    """max over the grid of |dw - rep(F(tau, w)) dphi| / (1 + |dphi|)."""
-    worst = 0.0
+    """max over the grid of |dw - rep(F(tau, w)) dphi| / (1 + |dphi|); nan if any is nan."""
+    residuals = []
     values = []
     for tau in grid:
         tau = np.asarray(tau, dtype=float)
         wt = np.asarray(w(tau))
         values.append(wt)
-        dw = fd_jacobian(w, tau, n=algebra.dim, base=step)
+        dw = fd_jacobian(w, tau, base=step)
         jphi = phi.jacobian(tau)
         target = algebra.rep(rhs(tau, wt)) @ jphi
         denom = 1.0 + float(np.linalg.norm(jphi))
-        worst = max(worst, float(np.linalg.norm(dw - target)) / denom)
+        residuals.append(float(np.linalg.norm(dw - target)) / denom)
     return SolutionSamples(taus=[np.asarray(t, dtype=float) for t in grid],
-                           values=np.stack(values), max_residual=worst)
+                           values=np.stack(values), max_residual=worst_of(residuals))
 
 
 @dataclass
@@ -133,7 +133,7 @@ class SeparableSolution:
                                 lambda v: algebra.inverse(L(v)), name="e/L")
 
     def _left(self, w):
-        if np.allclose(w, self.w0):
+        if np.array_equal(w, self.w0):
             return self.algebra.zero()
         return line_integral(self._inv_L, self._id, self.algebra,
                              Path.segment(self.w0, w, segments=self.segments))

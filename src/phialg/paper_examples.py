@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra_a2_1, algebra_a2_12, algebra_a3_1, complex_algebra
+from .algebra import a3_1_dependent_params, algebra_a2_1, algebra_a3_1, complex_algebra
 from .calculus import cre_residual, phi_derivative, phi_polynomial, phi_reciprocal_power
 from .catalog import (default_families, embed_xy0_map, nonlinear_3to2_map,
                       section31_algebra, swap_map)
@@ -24,7 +24,7 @@ from .pdes import (
     HeatProblem,
     SecondOrderPDE,
     first_order_phi,
-    heat_b_closed_form,
+    heat_solution,
     heat_system_matrix,
     second_order_solution,
     system_451_solutions,
@@ -87,8 +87,6 @@ def _golden_cre_checks():
     p = (0.3, -0.2, 0.5, 0.1, -0.4, 0.2)
     p1, p2, p3, p4, p5, p6 = p
     alg = algebra_a3_1(p)
-    from .algebra import a3_1_dependent_params
-
     p7, p8, p9 = a3_1_dependent_params(p)
     em = {
         "cre golden: embed-xy0 over 3-dim family": (
@@ -146,7 +144,6 @@ def _golden_cre_checks():
                      np.abs(np.sort(got_xy.ravel()) - np.sort(expected_xy.ravel())).max(),
                      1e-12))
     return rows
-
 
 
 def _derivative_checks(rng):
@@ -322,8 +319,6 @@ def _pde_checks(rng):
     err = max(abs(so.a + 1.0), abs(so.b + 1.0), so.residual)
     rows.append(_row("second-order pde: spec instance", err, 1e-4,
                      note=f"branch {so.branch}"))
-
-    from .pdes import heat_solution
 
     hs = heat_solution(HeatProblem(alpha=1.0, p=(1, 0, 0, 0, 0, 1)))
     matrix = heat_system_matrix(1.0, (1, 0, 0, 0, 0, 1))

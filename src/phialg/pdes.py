@@ -2,8 +2,9 @@
 
 Every constructor is "construct + verify": it returns the solution together
 with a finite-difference substitution residual, so a caller never has to take
-a formula on faith.  The residual engine is deliberately independent of the
-construction path (plain central differences substituted into the PDE).
+a formula on faith.  The residual is deliberately independent of the
+construction path: central differences from ``maps.fd_partial``, the
+package's one finite-difference engine, substituted into the PDE.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import (
     DegenerateParameters,
     DeltaZeroInconsistent,
 )
-from .maps import SmoothMap
+from .maps import SmoothMap, fd_partial, fd_step, worst_of
 
 SECOND_ORDER_STEP = 1e-4
 FIRST_ORDER_STEP = 1e-6
@@ -29,38 +30,14 @@ FLAG_TOL = 1e-4
 # -- generic finite-difference residual ----------------------------------------
 
 
-def fd_partial(func, point, orders, h):
-    """Central-difference partial derivative with per-variable orders (total <= 2)."""
-    point = np.asarray(point, dtype=float)
-    idx = [i for i, o in enumerate(orders) for _ in range(o)]
-    total = len(idx)
-    if total == 0:
-        return func(point)
-    if total == 1:
-        e = np.zeros_like(point)
-        e[idx[0]] = h
-        return (func(point + e) - func(point - e)) / (2.0 * h)
-    if total == 2 and idx[0] == idx[1]:
-        e = np.zeros_like(point)
-        e[idx[0]] = h
-        return (func(point + e) - 2.0 * func(point) + func(point - e)) / (h * h)
-    if total == 2:
-        e1 = np.zeros_like(point)
-        e2 = np.zeros_like(point)
-        e1[idx[0]] = h
-        e2[idx[1]] = h
-        return (func(point + e1 + e2) - func(point + e1 - e2)
-                - func(point - e1 + e2) + func(point - e1 - e2)) / (4.0 * h * h)
-    raise ValueError("only derivatives up to total order 2 are supported")
-
-
 def pde_residual(terms, fields, points, h=None):
     """Max relative residual of sum(coeff * D^orders field_comp) over the points.
 
     ``terms`` is a list of (coeff, component, orders); ``fields`` maps a point
     to the tuple of dependent values (or a scalar for single-component
     problems).  Each point's residual is normalized by the largest term
-    magnitude so the number is scale free.
+    magnitude so the number is scale free; a non-finite point residual makes
+    the result non-finite.
     """
 
     def component(comp):
@@ -70,17 +47,17 @@ def pde_residual(terms, fields, points, h=None):
 
         return func
 
-    worst = 0.0
+    second_order = any(sum(orders) >= 2 for _, _, orders in terms)
+    base = SECOND_ORDER_STEP if second_order else FIRST_ORDER_STEP
+    residuals = []
     for pt in points:
         pt = np.asarray(pt, dtype=float)
-        second_order = any(sum(orders) >= 2 for _, _, orders in terms)
-        base = SECOND_ORDER_STEP if second_order else FIRST_ORDER_STEP
-        step = h if h is not None else base * (1.0 + float(np.linalg.norm(pt)))
+        step = h if h is not None else fd_step(pt, base)
         vals = [coeff * fd_partial(component(comp), pt, orders, step)
                 for coeff, comp, orders in terms]
         scale = max(1.0, max(abs(v) for v in vals))
-        worst = max(worst, abs(sum(vals)) / scale)
-    return worst
+        residuals.append(abs(sum(vals)) / scale)
+    return worst_of(residuals)
 
 
 # -- first order: a u_x + b v_x - c u_y - d v_y = 0 ----------------------------
@@ -278,7 +255,7 @@ def second_order_solution(pde, alpha, beta, check_points=None):
     pts = check_points if check_points is not None else _default_grid()
     residual = pde.residual(u, pts)
     return SecondOrderSolution(a=a, b=b, amplitude=amplitude, branch=branch, u=u,
-                               residual=residual, flagged=residual > FLAG_TOL)
+                               residual=residual, flagged=not residual <= FLAG_TOL)
 
 
 def _default_grid():
@@ -384,7 +361,7 @@ def heat_solution(hp, check_points=None):
     pts = check_points if check_points is not None else _heat_grid()
     residual = hp.residual(u, pts)
     return HeatSolution(b=b, delta=delta, branch=branch, u=u, diagnostic=diagnostic,
-                        residual=residual, flagged=residual > FLAG_TOL)
+                        residual=residual, flagged=not residual <= FLAG_TOL)
 
 
 def _heat_grid():

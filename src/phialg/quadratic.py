@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra_a2_1, algebra_a2_2, algebra_a2_12
+from .algebra import algebra_a2_1
+from .catalog import ALGEBRA_BUILDERS
 from .calculus import cre_residual
 from .errors import DegenerateParameters, DimensionMismatch
 from .maps import SmoothMap
@@ -32,12 +33,19 @@ CASE_A2_2 = "A2_2"
 CASE_A2_12 = "A2_12"
 
 WITNESS_TOL = 1e-8
-VEE_TOL = 1e-9
+# The search forms fourth-degree products of pencil entries, det(M4) among
+# them; the entries are a few times the largest coefficient, so coefficients
+# below this leave room for those products to stay finite.
+COEFF_LIMIT = float(np.finfo(float).max) ** 0.25 / 1e3
 
 
 @dataclass(frozen=True)
 class QuadraticVF:
-    """Planar field with components a0 + a1 x + a2 y + a3 x^2 + a4 xy + a5 y^2."""
+    """Planar field with components a0 + a1 x + a2 y + a3 x^2 + a4 xy + a5 y^2.
+
+    Coefficients must be finite and at most ``COEFF_LIMIT`` in magnitude;
+    DegenerateParameters is raised otherwise.
+    """
 
     a: tuple
     b: tuple
@@ -49,6 +57,10 @@ class QuadraticVF:
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
         if not all(math.isfinite(x) for x in (*self.a, *self.b)):
             raise DegenerateParameters("QuadraticVF coefficients must be finite")
+        if max(abs(x) for x in (*self.a, *self.b)) > COEFF_LIMIT:
+            raise DegenerateParameters(
+                f"QuadraticVF coefficients must stay below {COEFF_LIMIT:.3e} in magnitude "
+                "for the search's fourth-degree products to stay finite")
 
     def __call__(self, point):
         x, y = point
@@ -137,14 +149,6 @@ def build_M2(vf, case, params=()):
     return build_M6(vf, case, params)[_M2_ROWS]
 
 
-def _case_algebra(case, params):
-    if case == CASE_A2_1:
-        return algebra_a2_1(*params)
-    if case == CASE_A2_2:
-        return algebra_a2_2(*params)
-    return algebra_a2_12()
-
-
 @dataclass
 class AlgebrizationWitness:
     case: str
@@ -154,9 +158,6 @@ class AlgebrizationWitness:
     residual: float
     det_m4: float
     algebra: object
-
-    def phi_matrix(self):
-        return self.phi.matrix
 
 
 def phi_from_v(v):
@@ -194,7 +195,7 @@ def _certify(vf, case, params, v, tol=WITNESS_TOL):
         phi = phi_from_v(v)
     except DegenerateParameters:
         return None
-    algebra = _case_algebra(case, params)
+    algebra = ALGEBRA_BUILDERS[case](params)
     residual = _grid_residual(vf, phi, algebra, tol)
     if residual is None:
         return None
@@ -518,8 +519,6 @@ def verify_billiards_algebrization(a, b, c, grid=None):
     """
     if abs(b) < 1e-12:
         raise DegenerateParameters("b = 0")
-    if abs(a + c) < 1e-12:
-        raise DegenerateParameters("a + c = 0")
     alpha, beta, v = billiards_parameters(a, b, c)
     algebra = algebra_a2_1(alpha, beta, scalars="complex")
     field = billiards_field(a, b, c)

@@ -9,12 +9,12 @@ import numpy.testing as npt
 import pytest
 
 from phialg.algebra import (
+    Algebra,
     a3_1_dependent_params,
     algebra_a2_1,
     algebra_a2_12,
     algebra_a2_2,
     algebra_a3_1,
-    algebra_from_constants,
     complex_algebra,
 )
 from phialg.calculus import (
@@ -103,7 +103,7 @@ def test_criterion_2_inverse_reproduction(rng):
     # oracle re-derivation: the printed constants define a valid algebra and
     # coincide with the all-ones instance of the parametric family (the
     # printed parameter signs do not reproduce their own table)
-    printed = algebra_from_constants(SECTION31_CONSTANTS, [1.0, 0.0, 0.0])
+    printed = Algebra(SECTION31_CONSTANTS, [1.0, 0.0, 0.0])
     param = section31_algebra()
     npt.assert_allclose(printed.constants, param.constants, atol=0.0)
     literal = algebra_a3_1((-1.0,) * 6)

@@ -9,11 +9,11 @@ from phialg.algebra import (
     algebra_a2_12,
     algebra_a2_2,
     algebra_a3_1,
-    algebra_from_constants,
     complex_algebra,
 )
 from phialg.errors import (
     AssociativityViolation,
+    DegenerateParameters,
     NotAssociative,
     NotCommutative,
     NoUnit,
@@ -97,28 +97,43 @@ def test_a3_1_associativity_random(rng):
 
 def test_from_constants_accepts_and_rejects():
     c = complex_algebra()
-    rebuilt = algebra_from_constants(c.constants, c.unit)
+    rebuilt = Algebra(c.constants, c.unit)
     npt.assert_allclose(rebuilt.constants, c.constants)
 
     a31 = algebra_a3_1((-1.0,) * 6)
-    rebuilt = algebra_from_constants(a31.constants, a31.unit)
+    rebuilt = Algebra(a31.constants, a31.unit)
     npt.assert_allclose(rebuilt.product([0, 1, 0], [0, 1, 0]), a31.product([0, 1, 0], [0, 1, 0]))
 
     bad = np.array(c.constants, copy=True)
     bad[0, 1, 0] += 1.0  # break c[i][j][k] == c[j][i][k]
     with pytest.raises(NotCommutative) as err:
-        algebra_from_constants(bad, c.unit)
+        Algebra(bad, c.unit)
     assert err.value.triple is not None
 
     with pytest.raises(NoUnit):
-        algebra_from_constants(c.constants, [0.0, 1.0])
+        Algebra(c.constants, [0.0, 1.0])
 
     # a commutative table with a valid unit but broken associativity needs
     # dim >= 3: every planar table with unit e1 happens to be associative
     broken = algebra_a3_1((1.0,) * 6).constants.copy()
     broken[1, 1, 0] += 0.5
     with pytest.raises(NotAssociative):
-        algebra_from_constants(broken, [1.0, 0.0, 0.0])
+        Algebra(broken, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_constants_or_unit_are_rejected(bad):
+    c = complex_algebra()
+    constants = np.array(c.constants, copy=True)
+    constants[1, 1, 0] = bad
+    with pytest.raises(DegenerateParameters):
+        Algebra(constants, c.unit)
+    with pytest.raises(DegenerateParameters):
+        Algebra(c.constants, [1.0, bad], check=False)
+    with pytest.raises(DegenerateParameters):
+        algebra_a2_1(bad, 0.0)
+    with pytest.raises(DegenerateParameters):
+        algebra_a3_1((bad, 1.0, 1.0, 1.0, 1.0, 1.0))
 
 
 def test_a3_1_internal_violation_error(monkeypatch):

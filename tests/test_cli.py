@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,9 @@ from phialg.algebra import algebra_a3_1
 from phialg.cli import main
 
 
-GOLDEN = Path(__file__).parent / "data" / "algebrize_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "algebrize_golden.json"
+CLI_GOLDEN = DATA / "cli_golden.json"
 BILLIARDS_VF = "0,0,0,1,-2,0,0,0,0,0,-2,1"
 
 
@@ -184,6 +187,14 @@ def test_algebrize_json_is_byte_identical_to_golden(capsys):
         assert out == case["stdout"], case["field"]
 
 
+def test_every_subcommand_json_is_byte_identical_to_golden(capsys):
+    for case in json.loads(CLI_GOLDEN.read_text()):
+        argv = [arg.replace("{data}", str(DATA)) for arg in case["argv"]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (case["exit"], ""), case["argv"]
+        assert out == case["stdout"], case["argv"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--vf", "nan,0,0,1,-2,0,0,0,0,0,-2,1", "--box=-3,3"],
     ["--vf", "inf,0,0,1,-2,0,0,0,0,0,-2,1", "--box=-3,3"],
@@ -196,6 +207,35 @@ def test_algebrize_bad_input_is_input_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def _assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["pde", "first-order", "--coeffs", "1.3,-0.7,0.4,2.1", "--alpha", "nan", "--beta", "0.3"],
+    ["pde", "second-order", "--coeffs", "1,0,1,1,1", "--alpha", "nan", "--beta", "1"],
+    ["pde", "system451", "--params", "nan,1,1,1"],
+    ["ode", "solve", "--family", "exp", "--algebra", "C", "--phi", "identity2", "--C", "nan,0"],
+    ["algebra", "build", "--family", "A3_1", "--params", "nan,1,1,1,1,1"],
+])
+def test_non_finite_input_fails_closed(capsys, argv):
+    _assert_one_error_line(*run_cli(capsys, "--json", *argv))
+
+
+@pytest.mark.parametrize("n", ["0", "-4", "7"])
+def test_integrate_segment_count_below_one_is_input_error(capsys, n):
+    _assert_one_error_line(*run_cli(capsys, "--json", "integrate", "--loop", "circle:r=1",
+                                    "--f", "phi", "--phi", "swap", "--algebra", "C", "--N", n))
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e160, 1e300, 1e308])
+def test_algebrize_huge_coefficients_are_input_error(capsys, scale):
+    vf = ",".join(str(x) for x in (0, 0, 0, scale, -2 * scale, 0, 0, 0, 0, 0, -2 * scale, scale))
+    _assert_one_error_line(*run_cli(capsys, "--json", "algebrize", "--vf", vf))
 
 
 def test_integrate_with_algebra_file_and_poly_function(tmp_path, capsys):
@@ -222,3 +262,9 @@ def test_paper_examples(capsys):
     data = json.loads(out)
     assert data["pass"]
     assert len(data["checks"]) >= 20
+
+
+def test_paper_examples_table_reports_the_run_time(capsys):
+    code, out, _ = run_cli(capsys, "paper-examples")
+    assert code == 0
+    assert re.fullmatch(r"\(ran in \d+\.\d{3}s\)", out.splitlines()[-1])

@@ -5,6 +5,7 @@ import pytest
 from phialg.algebra import complex_algebra
 from phialg.calculus import phi_derivative, phi_polynomial, phi_reciprocal_power
 from phialg.catalog import embed_xy0_map, section31_algebra, swap_map
+from phialg.errors import PhialgError
 from phialg.integrals import (
     Path,
     antiderivative,
@@ -143,6 +144,27 @@ def test_antiderivative_of_unit_is_phi_shift():
     F = antiderivative(f, phi, c, u0)
     u = np.array([1.1, 0.8])
     npt.assert_allclose(F(u), phi(u) - phi(u0), atol=1e-12)
+
+
+@pytest.mark.parametrize("offset", [1e-5, 1e-6, 1e-9])
+def test_antiderivative_has_no_jump_at_the_base_point(offset):
+    c = complex_algebra()
+    ident = SmoothMap.identity(2)
+    u0 = np.array([1.0, 1.0])
+    F = antiderivative(SmoothMap.constant(c.unit, k=2), ident, c, u0)
+    npt.assert_allclose(F(u0), [0.0, 0.0], atol=0.0)
+    u = u0 + np.array([offset, 0.0])
+    npt.assert_allclose(F(u), u - u0, rtol=1e-9, atol=1e-20)
+
+
+@pytest.mark.parametrize("segments", [0, -4])
+def test_segment_count_below_one_is_rejected(segments):
+    c = complex_algebra()
+    ident = SmoothMap.identity(2)
+    with pytest.raises(PhialgError):
+        Path.circle(segments=segments)
+    with pytest.raises(PhialgError):
+        line_integral(ident, ident, c, Path.circle(), segments=segments)
 
 
 def test_antiderivative_power_rules():

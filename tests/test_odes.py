@@ -10,6 +10,7 @@ from phialg.maps import SmoothMap
 from phialg.odes import (
     picard,
     separable_solve,
+    solution_residual,
     solve_exponential,
     solve_phi_rhs,
     solve_square_rhs,
@@ -118,6 +119,27 @@ def test_separable_reduces_to_direct_integration(planar_setup):
     tau = np.array([0.5, 0.3])
     direct = w0 + line_integral(K, phi, alg, Path.segment(tau0, tau))
     npt.assert_allclose(sep.solve_at(tau), direct, atol=1e-10)
+
+
+@pytest.mark.parametrize("offset", [1e-5, 1e-6, 1e-9])
+def test_separable_left_side_has_no_jump_at_the_base_point(offset):
+    c = complex_algebra()
+    unit = SmoothMap(2, 2, lambda w: c.unit, name="unit")
+    w0 = np.array([1.0, 1.0])
+    sep = separable_solve(unit, unit, SmoothMap.identity(2), c, w0, np.zeros(2))
+    w = w0 + np.array([offset, 0.0])
+    npt.assert_allclose(sep._left(w), w - w0, rtol=1e-9, atol=1e-20)
+
+
+def test_solution_residual_is_non_finite_when_a_point_is():
+    c = complex_algebra()
+
+    def w(tau):
+        return np.full(2, np.nan) if tau[0] > 0 else c.unit
+
+    grid = [np.array([-0.5, 0.1]), np.array([0.5, 0.1]), np.array([-0.2, 0.3])]
+    samples = solution_residual(w, lambda tau, wt: c.zero(), SmoothMap.identity(2), c, grid)
+    assert np.isnan(samples.max_residual)
 
 
 def test_separable_matches_square_rhs(planar_setup):

@@ -54,6 +54,13 @@ def test_pde_residual_known_defect(rng):
     npt.assert_allclose(value_abs, 1.0, atol=1e-4)
 
 
+def test_pde_residual_is_non_finite_when_a_point_is():
+    terms = [(1.0, 0, (2, 0)), (1.0, 0, (0, 2))]
+    points = [np.array([-0.5, 0.2]), np.array([0.5, 0.2]), np.array([-0.3, -0.4])]
+    value = pde_residual(terms, lambda pt: math.nan if pt[0] > 0 else 0.0, points)
+    assert math.isnan(value)
+
+
 # -- first order ------------------------------------------------------------------
 
 

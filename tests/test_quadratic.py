@@ -273,6 +273,13 @@ def test_quadratic_vf_rejects_non_finite_coefficients(bad):
         QuadraticVF(a=(0.0, 0.0, 0.0, 1.0, -2.0, 0.0), b=(0.0, 0.0, 0.0, 0.0, -2.0, bad))
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e160, 1e300, 1e308])
+def test_quadratic_vf_rejects_coefficients_too_large_for_the_search(scale):
+    with pytest.raises(DegenerateParameters):
+        QuadraticVF(a=(0.0, 0.0, 0.0, scale, -scale, 0.0), b=(0.0, 0.0, 0.0, 0.0, -scale, scale))
+    QuadraticVF(a=(0.0, 0.0, 0.0, 1e60, -2e60, 0.0), b=(0.0,) * 6)  # still accepted
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_certification_rejects_non_finite_residual(monkeypatch, bad):
     vf = billiards_field(1.0, 1.0, 1.0).quadratic_vf
