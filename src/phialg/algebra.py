@@ -5,7 +5,9 @@ structure tensor ``c[i, j, k]``: the basis products are
 ``e_i e_j = sum_k c[i, j, k] e_k``.  Elements are plain length-n vectors.
 Every algebra carries its regular representation: ``rep(a)`` is the matrix
 of multiplication by ``a``, which turns products, inverses and exponentials
-into ordinary linear algebra.
+into ordinary linear algebra.  ``product``, ``rep`` and ``inverse`` also take
+stacks of elements, shape (..., n), and give for each element exactly the
+bits of the single-element call.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ class Algebra:
         self.rep_basis = np.swapaxes(constants, 1, 2).copy()
         for arr in (self.constants, self.unit, self.rep_basis):
             arr.setflags(write=False)
+        self._rep_rows = self.rep_basis.reshape(n, n * n)
         if check:
             self._validate()
 
@@ -117,19 +120,37 @@ class Algebra:
         return np.zeros(self.dim, dtype=self.unit.dtype)
 
     def product(self, a, b):
-        return np.einsum("i,j,ijk->k", np.asarray(a), np.asarray(b), self.constants)
+        return np.einsum("...i,...j,ijk->...k", np.asarray(a), np.asarray(b), self.constants)
 
     def rep(self, a):
-        """First fundamental representation: the matrix of multiplication by ``a``."""
-        return np.tensordot(np.asarray(a), self.rep_basis, axes=(0, 0))
+        """First fundamental representation: the matrix of multiplication by ``a``.
+
+        One (1, n) @ (n, n*n) product per element, the same arithmetic for a
+        single element and for each element of a stack.
+        """
+        a = np.asarray(a)
+        rows = (a[..., None, :] @ self._rep_rows)[..., 0, :]
+        return rows.reshape(a.shape[:-1] + (self.dim, self.dim))
 
     def is_regular(self, a, rtol=SINGULAR_RTOL):
         s = np.linalg.svd(self.rep(a), compute_uv=False)
         return bool(s[0] > 0.0 and s[-1] > rtol * s[0])
 
     def inverse(self, a):
+        """The element b with a b = e; raises SingularElement on the singular set.
+
+        A stack is inverted with one batched SVD and solve.  When any element
+        of it is singular or not finite, the stack is inverted one element at
+        a time instead, so the first such element raises what it raises alone.
+        """
         a = np.asarray(a)
         r = self.rep(a)
+        if a.ndim > 1:
+            if np.isfinite(r).all():
+                s = np.linalg.svd(r, compute_uv=False)
+                if (s[..., 0] != 0.0).all() and (s[..., -1] >= SINGULAR_RTOL * s[..., 0]).all():
+                    return np.linalg.solve(r, self.unit)
+            return np.stack([self.inverse(x) for x in a.reshape(-1, self.dim)]).reshape(a.shape)
         s = np.linalg.svd(r, compute_uv=False)
         if s[0] == 0.0 or s[-1] < SINGULAR_RTOL * s[0]:
             raise SingularElement(f"element {a} is singular (smin/smax={s[-1]:.2e}/{s[0]:.2e})")

@@ -105,11 +105,13 @@ def find_regular_direction(phi, algebra, u, rng=None, tries=64):
 
 
 def _poly_eval(coeffs, algebra, w):
-    """Horner evaluation of sum_m coeffs[m] w^m in the algebra."""
+    """Horner evaluation of sum_m coeffs[m] w^m in the algebra, for one element
+    w or for each element of a stack."""
     acc = algebra.element(coeffs[-1]).copy()
     for c in reversed(coeffs[:-1]):
         acc = algebra.product(acc, w) + algebra.element(c)
-    return acc
+    # a constant polynomial still has one value per element of the stack
+    return acc if acc.shape == np.shape(w) else np.broadcast_to(acc, np.shape(w)).copy()
 
 
 def poly_derivative_coeffs(coeffs):
@@ -124,7 +126,8 @@ def phi_polynomial(coeffs, phi, algebra, name="poly"):
 
     The Jacobian uses the power rule: d(p o phi)_u = rep(p'(phi(u))) dphi_u.
     Real-scalar algebras only; complex-scalar algebras are exercised through
-    direct element arithmetic (see the billiards verification).
+    direct element arithmetic (see the billiards verification).  The map
+    broadcasts over stacks of points whenever phi does.
     """
     if algebra.scalars != "real":
         raise DimensionMismatch("polynomial maps need a real-scalar algebra")
@@ -132,17 +135,20 @@ def phi_polynomial(coeffs, phi, algebra, name="poly"):
     dcoeffs = poly_derivative_coeffs(coeffs)
 
     def func(u):
-        return _poly_eval(coeffs, algebra, phi(u))
+        return _poly_eval(coeffs, algebra, phi.batch(u))
 
     def jac(u):
-        g = _poly_eval(dcoeffs, algebra, phi(u))
-        return algebra.rep(g) @ phi.jacobian(u)
+        g = _poly_eval(dcoeffs, algebra, phi.batch(u))
+        return algebra.rep(g) @ phi.batch_jacobian(u)
 
-    return SmoothMap(phi.k, algebra.dim, func, jac=jac, name=name)
+    return SmoothMap(phi.k, algebra.dim, func, jac=jac, name=name, broadcasts=phi.broadcasts)
 
 
 def phi_rational(num_coeffs, den_coeffs, phi, algebra, name="rational"):
-    """Quotient of two polynomial functions of phi; denominator must be regular."""
+    """Quotient of two polynomial functions of phi; denominator must be regular.
+
+    Broadcasts over stacks of points whenever phi does.
+    """
     if algebra.scalars != "real":
         raise DimensionMismatch("rational maps need a real-scalar algebra")
     num = [algebra.element(c) for c in num_coeffs]
@@ -151,7 +157,7 @@ def phi_rational(num_coeffs, den_coeffs, phi, algebra, name="rational"):
     dden = poly_derivative_coeffs(den)
 
     def value_and_derivative(u):
-        w = phi(u)
+        w = phi.batch(u)
         p = _poly_eval(num, algebra, w)
         q = _poly_eval(den, algebra, w)
         qinv = algebra.inverse(q)  # raises SingularElement on the singular set
@@ -169,9 +175,9 @@ def phi_rational(num_coeffs, den_coeffs, phi, algebra, name="rational"):
         return value_and_derivative(u)[0]
 
     def jac(u):
-        return algebra.rep(value_and_derivative(u)[1]) @ phi.jacobian(u)
+        return algebra.rep(value_and_derivative(u)[1]) @ phi.batch_jacobian(u)
 
-    return SmoothMap(phi.k, algebra.dim, func, jac=jac, name=name)
+    return SmoothMap(phi.k, algebra.dim, func, jac=jac, name=name, broadcasts=phi.broadcasts)
 
 
 def phi_reciprocal_power(phi, algebra, n=1, name=""):

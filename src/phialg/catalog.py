@@ -41,14 +41,18 @@ def fold_3to2_map():
 
 def nonlinear_3to2_map():
     def func(u):
-        x, y, z = u
-        return np.array([x * x + z, 1.0 / y])
+        x, y, z = np.moveaxis(u, -1, 0)
+        return np.stack([x * x + z, 1.0 / y], axis=-1)
 
     def jac(u):
-        x, y, z = u
-        return np.array([[2.0 * x, 0.0, 1.0], [0.0, -1.0 / (y * y), 0.0]])
+        x, y, _ = np.moveaxis(u, -1, 0)
+        out = np.zeros(u.shape[:-1] + (2, 3))
+        out[..., 0, 0] = 2.0 * x
+        out[..., 0, 2] = 1.0
+        out[..., 1, 1] = -1.0 / (y * y)
+        return out
 
-    return SmoothMap(3, 2, func, jac=jac, name="square-plus-reciprocal")
+    return SmoothMap(3, 2, func, jac=jac, name="square-plus-reciprocal", broadcasts=True)
 
 
 def embed_xy0_map():

@@ -1,8 +1,9 @@
 """Command-line interface: one subcommand per subsystem plus `paper-examples`.
 
 Exit codes: 0 = pass, 1 = a tolerance or match failure, 2 = bad input/usage.
-JSON output is stable for fixed argv and seed (timing is reported only in the
-human-readable form).
+A reader that closes stdout early (``phialg ... | head``) ends the run
+quietly with 1, as Python's own note on SIGPIPE does.  JSON output is stable
+for fixed argv and seed (timing is reported only in the human-readable form).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -48,6 +50,15 @@ def _floats(text):
     return [_finite(float(x)) for x in text.split(",") if x != ""]
 
 
+def _open_named(path, mode="r"):
+    """open() for a file named on the command line; a path that cannot be
+    opened is bad input."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def _emit(args, payload, human):
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
@@ -78,7 +89,7 @@ def _catalog_function(name, phi, algebra):
 def _load_algebra(spec):
     """Catalog spec ("C", "A2_1:0,0", ...) or a path to a JSON algebra file."""
     if spec.endswith(".json"):
-        with open(spec) as fh:
+        with _open_named(spec) as fh:
             return Algebra.from_dict(json.load(fh))
     return build_algebra(spec)
 
@@ -104,7 +115,7 @@ def _parse_loop(spec):
 
 def cmd_algebra(args):
     if args.action == "verify":
-        with open(args.file) as fh:
+        with _open_named(args.file) as fh:
             data = json.load(fh)
         alg = Algebra.from_dict(data)  # raises on axiom violations
         defect, _ = alg.associativity_defect()
@@ -117,7 +128,7 @@ def cmd_algebra(args):
         alg = build_algebra(args.family if not args.params else f"{args.family}:{args.params}")
         data = alg.to_dict()
         if args.out:
-            with open(args.out, "w") as fh:
+            with _open_named(args.out, "w") as fh:
                 json.dump(data, fh, indent=2, sort_keys=True)
         _emit(args, {"command": "algebra build", "algebra": data, "pass": True},
               f"built {alg!r}" + (f" -> {args.out}" if args.out else ""))
@@ -136,7 +147,7 @@ def cmd_cre(args):
         _emit(args, payload, system.to_latex())
         return PASS
     if args.action == "recover":
-        with open(args.file) as fh:
+        with _open_named(args.file) as fh:
             system = TwoPDESystem.from_json(json.load(fh))
         try:
             rec = recover_phi_algebra(system)
@@ -160,9 +171,9 @@ def cmd_cre(args):
               f"potentials {rec.potential_coeffs.tolist()}{note}")
         return PASS
     if args.action == "equiv":
-        with open(args.s1) as fh:
+        with _open_named(args.s1) as fh:
             s1 = TwoPDESystem.from_json(json.load(fh))
-        with open(args.s2) as fh:
+        with _open_named(args.s2) as fh:
             s2 = TwoPDESystem.from_json(json.load(fh))
         points = [np.array([0.7, -0.4]), np.array([1.3, 0.9]), np.array([-1.1, 0.6])]
         try:
@@ -451,8 +462,15 @@ def main(argv=None):
         for name, value in vars(args).items():
             if isinstance(value, float):
                 _finite(value, f"--{name}")
-        return args.func(args)
-    except (PhialgError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:
+            # the flush at exit would fail again: send what is left to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return FAIL
+    except (PhialgError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import Algebra, algebra_a2_1, algebra_a2_2, algebra_a2_12
 from .errors import DimensionMismatch, NoMatch, NotEquivalent
-from .maps import SmoothMap
+from .maps import SmoothMap, worst_of
 
 PATTERN_RTOL = 1e-9
 CONSERVATIVE_RTOL = 1e-9
@@ -62,11 +62,18 @@ class CRESystem:
         return len(self.equations)
 
     def residual(self, f, u):
+        """Worst equation at u, scaled by 1 + |df_u|; nan when any equation is."""
+        if not self.equations:
+            raise ValueError("the system has no equations")
         scale = 1.0 + float(np.linalg.norm(f.jacobian(np.asarray(u, dtype=float))))
-        return max(abs(eq.residual(f, u)) for eq in self.equations) / scale
+        return worst_of([abs(eq.residual(f, u)) for eq in self.equations]) / scale
 
     def max_residual(self, f, points):
-        return max(self.residual(f, u) for u in points)
+        """Worst ``residual`` over the points; nan when any is nan."""
+        residuals = [self.residual(f, u) for u in points]
+        if not residuals:
+            raise ValueError("no points to take the residual at")
+        return worst_of(residuals)
 
     def coefficient_tensor(self):
         """Stacked (num_eq, n, k) coefficients; constant systems only."""

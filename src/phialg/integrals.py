@@ -4,6 +4,13 @@ The integrand of the line integral of f along gamma relative to phi is the
 algebra product f(gamma(s)) * dphi_{gamma(s)}(gamma'(s)); quadrature is
 composite Simpson with a fixed subdivision count, which keeps the cost
 deterministic and the error O(N^-4) for smooth integrands.
+
+All Simpson nodes are evaluated in one pass: the path's points and velocities
+at every node, then ``f.batch`` and ``phi.batch_jacobian`` on the whole stack
+(see ``maps`` for which maps do that natively), then one algebra product.
+``Path.segment`` and ``Path.circle`` give their nodes as array expressions;
+a path built from a user ``gamma`` is evaluated node by node.  The result is
+bit for bit that of evaluating the integrand one node at a time.
 """
 
 from __future__ import annotations
@@ -25,15 +32,19 @@ class Path:
     ``derivative`` is used when supplied; otherwise the velocity comes from
     central differences (``maps.fd_partial``).  ``segments`` is the default
     Simpson subdivision count, at least 1.  A path flagged closed must satisfy
-    |gamma(0) - gamma(t1)| <= 1e-12.
+    |gamma(0) - gamma(t1)| <= 1e-12.  ``broadcasts`` declares that ``gamma``
+    and ``derivative`` also take a 1-D array of parameters and return one row
+    per parameter, bit for bit what they return one parameter at a time.
     """
 
-    def __init__(self, gamma, t1, derivative=None, segments=256, closed=False):
+    def __init__(self, gamma, t1, derivative=None, segments=256, closed=False,
+                 broadcasts=False):
         self.gamma = gamma
         self.t1 = float(t1)
         self.derivative = derivative
         self.segments = _segment_count(segments)
         self.closed = bool(closed)
+        self.broadcasts = bool(broadcasts)
         if closed:
             gap = float(np.linalg.norm(self.point(0.0) - self.point(self.t1)))
             if gap > CLOSED_TOL:
@@ -48,12 +59,28 @@ class Path:
         t = np.array([t], dtype=float)
         return fd_partial(lambda s: self.point(s[0]), t, (1,), fd_step(t))
 
+    def points(self, ts):
+        """gamma at every parameter of a 1-D array, shape (len(ts), k)."""
+        ts = np.asarray(ts, dtype=float)
+        if self.broadcasts:
+            return np.asarray(self.gamma(ts), dtype=float)
+        return np.stack([self.point(t) for t in ts])
+
+    def velocities(self, ts):
+        """gamma' at every parameter of a 1-D array, shape (len(ts), k)."""
+        ts = np.asarray(ts, dtype=float)
+        if self.broadcasts and self.derivative is not None:
+            return np.asarray(self.derivative(ts), dtype=float)
+        return np.stack([self.velocity(t) for t in ts])
+
     @classmethod
     def segment(cls, u0, u1, segments=256):
         u0 = np.asarray(u0, dtype=float)
         u1 = np.asarray(u1, dtype=float)
-        return cls(lambda t: u0 + t * (u1 - u0), 1.0,
-                   derivative=lambda t: u1 - u0, segments=segments)
+        delta = u1 - u0
+        return cls(lambda t: u0 + np.multiply.outer(t, delta), 1.0,
+                   derivative=lambda t: np.broadcast_to(delta, np.shape(t) + delta.shape),
+                   segments=segments, broadcasts=True)
 
     @classmethod
     def circle(cls, center=(0.0, 0.0), radius=1.0, segments=256):
@@ -61,12 +88,13 @@ class Path:
         r = float(radius)
 
         def gamma(t):
-            return np.array([cx + r * np.cos(t), cy + r * np.sin(t)])
+            return np.stack([cx + r * np.cos(t), cy + r * np.sin(t)], axis=-1)
 
         def vel(t):
-            return np.array([-r * np.sin(t), r * np.cos(t)])
+            return np.stack([-r * np.sin(t), r * np.cos(t)], axis=-1)
 
-        return cls(gamma, 2.0 * np.pi, derivative=vel, segments=segments, closed=True)
+        return cls(gamma, 2.0 * np.pi, derivative=vel, segments=segments, closed=True,
+                   broadcasts=True)
 
 
 def _segment_count(segments):
@@ -76,12 +104,12 @@ def _segment_count(segments):
     return n
 
 
-def _integrand(f, phi, algebra, path):
-    def value(t):
-        u = path.point(t)
-        return algebra.product(f(u), phi.jacobian(u) @ path.velocity(t))
-
-    return value
+def pushforward(phi, path, ts):
+    """The path's points at the parameters ts and dphi_gamma(t)(gamma'(t)) at each."""
+    points = path.points(ts)
+    jphis = phi.batch_jacobian(points)
+    # stacked matrix-vector products: the same bits per node as jphi @ velocity
+    return points, (jphis @ path.velocities(ts)[..., None])[..., 0]
 
 
 def line_integral(f, phi, algebra, path, segments=None):
@@ -92,8 +120,8 @@ def line_integral(f, phi, algebra, path, segments=None):
     if n % 2:
         n += 1
     ts = np.linspace(0.0, path.t1, n + 1)
-    g = _integrand(f, phi, algebra, path)
-    values = np.stack([g(t) for t in ts])
+    points, dphi = pushforward(phi, path, ts)
+    values = algebra.product(f.batch(points), dphi)
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

@@ -3,6 +3,14 @@
 ``fd_partial`` is the package's one finite-difference engine: the Jacobian
 fallback of ``SmoothMap``, path velocities, the ODE residuals and the PDE
 substitution residuals all take their central differences from it.
+
+``SmoothMap.batch`` and ``SmoothMap.batch_jacobian`` evaluate a whole stack of
+points, as the quadrature nodes of a line integral, in one pass.  A map built
+with ``broadcasts=True`` does this natively: ``linear``, ``identity``,
+``constant``, ``compose`` of two such maps, ``calculus.phi_polynomial`` and
+``calculus.phi_rational`` over such a phi, and the catalog's nonlinear map.
+Every other map, and every plain callable, is evaluated one point at a time by
+``each``, the package's one per-point loop.  Both ways give the same bits.
 """
 
 from __future__ import annotations
@@ -24,6 +32,22 @@ def worst_of(residuals):
     ``max`` would return a finite value past a nan, passing a check it fails.
     """
     return float(np.max(residuals, initial=0.0))
+
+
+def each(func, points):
+    """func applied to every point of an (..., k) array, one call per point.
+
+    The loop for callables that take a single point; the results are stacked
+    in the points' leading shape.
+    """
+    points = np.asarray(points)
+    out = np.stack([func(p) for p in points.reshape(-1, points.shape[-1])])
+    return out.reshape(points.shape[:-1] + out.shape[1:])
+
+
+def _repeat(value, points):
+    """``value`` for one point, or a read-only view of it for each point of a stack."""
+    return value if points.ndim == 1 else np.broadcast_to(value, points.shape[:-1] + value.shape)
 
 
 def fd_partial(func, point, orders, h):
@@ -65,15 +89,19 @@ class SmoothMap:
 
     The Jacobian is analytic when a callable is supplied and central finite
     differences otherwise.  Instances are stateless wrappers around pure
-    functions; evaluation must be reentrant.
+    functions; evaluation must be reentrant.  ``broadcasts`` declares that
+    ``func`` and ``jac`` also take an (..., k) stack of points and return
+    (..., n) values and (..., n, k) Jacobians, bit for bit what they return
+    point by point.
     """
 
-    def __init__(self, k, n, func, jac=None, name=""):
+    def __init__(self, k, n, func, jac=None, name="", broadcasts=False):
         self.k = int(k)
         self.n = int(n)
         self._func = func
         self._jac = jac
         self.name = name
+        self.broadcasts = bool(broadcasts)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -93,11 +121,40 @@ class SmoothMap:
             return jac
         return fd_jacobian(self.__call__, u)
 
+    def _stack(self, us):
+        us = np.asarray(us, dtype=float)
+        if us.ndim == 0 or us.shape[-1] != self.k:
+            raise DimensionMismatch(f"{self.name or 'map'} expects R^{self.k} points, got {us.shape}")
+        return us
+
+    def batch(self, us):
+        """Values at every point of an (..., k) array, shape (..., n)."""
+        us = self._stack(us)
+        if not self.broadcasts:
+            return each(self.__call__, us)
+        out = np.asarray(self._func(us), dtype=float)
+        if out.shape != us.shape[:-1] + (self.n,):
+            raise DimensionMismatch(f"{self.name or 'map'} returned shape {out.shape} "
+                                    f"for points of shape {us.shape}")
+        return out
+
+    def batch_jacobian(self, us):
+        """Jacobians at every point of an (..., k) array, shape (..., n, k)."""
+        us = self._stack(us)
+        if not (self.broadcasts and self._jac is not None):
+            return each(self.jacobian, us)
+        jac = np.asarray(self._jac(us), dtype=float)
+        if jac.shape != us.shape[:-1] + (self.n, self.k):
+            raise DimensionMismatch(f"Jacobian shape {jac.shape} for points of shape {us.shape}")
+        return jac
+
     @classmethod
     def linear(cls, matrix, name=""):
         m = np.asarray(matrix, dtype=float)
         n, k = m.shape
-        obj = cls(k, n, lambda u: m @ u, jac=lambda u: m, name=name)
+        # a stacked matrix-vector product keeps the bits of m @ u per point; u @ m.T does not
+        obj = cls(k, n, lambda u: (m @ u[..., None])[..., 0], jac=lambda u: _repeat(m, u),
+                  name=name, broadcasts=True)
         obj.matrix = m
         return obj
 
@@ -108,8 +165,10 @@ class SmoothMap:
     @classmethod
     def constant(cls, value, k, name="const"):
         value = np.asarray(value, dtype=float)
-        n = value.shape[0]
-        return cls(k, n, lambda u: value, jac=lambda u: np.zeros((n, k)), name=name)
+        zeros = np.zeros((value.shape[0], k))
+        zeros.setflags(write=False)
+        return cls(k, value.shape[0], lambda u: _repeat(value, u), jac=lambda u: _repeat(zeros, u),
+                   name=name, broadcasts=True)
 
     def __repr__(self):
         tag = self.name or "map"
@@ -122,12 +181,13 @@ def compose(outer, inner, name=""):
         raise DimensionMismatch(f"cannot compose R^{inner.k}->R^{inner.n} into R^{outer.k}->R^{outer.n}")
 
     def func(u):
-        return outer(inner(u))
+        return outer.batch(inner.batch(u))
 
     def jac(u):
-        return outer.jacobian(inner(u)) @ inner.jacobian(u)
+        return outer.batch_jacobian(inner.batch(u)) @ inner.batch_jacobian(u)
 
-    return SmoothMap(inner.k, outer.n, func, jac=jac, name=name or f"{outer.name}∘{inner.name}")
+    return SmoothMap(inner.k, outer.n, func, jac=jac, name=name or f"{outer.name}∘{inner.name}",
+                     broadcasts=outer.broadcasts and inner.broadcasts)
 
 
 def jacobian_consistency(smooth_map, points, rtol=1e-4):

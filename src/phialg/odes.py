@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonDivergence, NoConvergence
-from .integrals import Path, line_integral
-from .maps import SmoothMap, fd_jacobian, worst_of
+from .integrals import Path, line_integral, pushforward
+from .maps import SmoothMap, each, fd_jacobian, worst_of
 
 RESIDUAL_STEP = 1e-6
 
@@ -114,9 +114,11 @@ class SeparableSolution:
 
         integral_{w0}^{w} dv / L(v)  =  integral_{tau0}^{tau} K dphi.
 
-    Left side: straight segments from w0 with the identity reference map.
-    Newton uses rep(e / L(w)) as the exact Jacobian of the left side and the
-    previous grid point as warm start along a path of tau values.
+    Left side: straight segments from w0 with the identity reference map;
+    e / L is inverted at all quadrature nodes at once, with L still called
+    once per node.  Newton uses rep(e / L(w)) as the exact Jacobian of the
+    left side and the previous grid point as warm start along a path of tau
+    values.  A K that is already a SmoothMap is integrated as it is.
     """
 
     def __init__(self, K, L, phi, algebra, w0, tau0, segments=256, max_iter=50):
@@ -130,7 +132,9 @@ class SeparableSolution:
         self.max_iter = max_iter
         self._id = SmoothMap.identity(algebra.dim)
         self._inv_L = SmoothMap(algebra.dim, algebra.dim,
-                                lambda v: algebra.inverse(L(v)), name="e/L")
+                                lambda v: algebra.inverse(each(L, v)), name="e/L",
+                                broadcasts=True)
+        self._K = K if isinstance(K, SmoothMap) else SmoothMap(phi.k, algebra.dim, K, name="K")
 
     def _left(self, w):
         if np.array_equal(w, self.w0):
@@ -139,8 +143,7 @@ class SeparableSolution:
                              Path.segment(self.w0, w, segments=self.segments))
 
     def _right(self, tau):
-        kmap = SmoothMap(self.phi.k, self.algebra.dim, self.K, name="K")
-        return line_integral(kmap, self.phi, self.algebra,
+        return line_integral(self._K, self.phi, self.algebra,
                              Path.segment(self.tau0, tau, segments=self.segments))
 
     def solve_at(self, tau, warm=None):
@@ -200,20 +203,15 @@ class PicardResult:
 def _cumulative_integral(values, h):
     """Cumulative integral of algebra-valued samples on a uniform grid.
 
-    Simpson pairs give the even nodes; odd nodes integrate the local
-    quadratic over its first half, keeping the whole table O(h^4).
+    Simpson pairs give the even nodes, as a running sum from the zero at
+    node 0; odd nodes integrate the local quadratic over its first half,
+    keeping the whole table O(h^4).  The node count must be odd (an even
+    segment count).
     """
-    m = values.shape[0]
     out = np.zeros_like(values)
-    for idx in range(2, m, 2):
-        out[idx] = out[idx - 2] + (h / 3.0) * (
-            values[idx - 2] + 4.0 * values[idx - 1] + values[idx]
-        )
-    # odd nodes: the node count is odd (even segment count), so idx + 1 < m here
-    for idx in range(1, m, 2):
-        out[idx] = out[idx - 1] + (h / 12.0) * (
-            5.0 * values[idx - 1] + 8.0 * values[idx] - values[idx + 1]
-        )
+    out[2::2] = (h / 3.0) * (values[:-2:2] + 4.0 * values[1:-1:2] + values[2::2])
+    out[::2] = np.cumsum(out[::2], axis=0)
+    out[1::2] = out[:-1:2] + (h / 12.0) * (5.0 * values[:-1:2] + 8.0 * values[1::2] - values[2::2])
     return out
 
 
@@ -223,25 +221,21 @@ def picard(F, phi, algebra, w0, path, tol=1e-10, max_iter=60):
     F must be differentiable with respect to the algebra on a region the
     iterates stay inside (caller-asserted), and the path short enough for
     contraction.  Raises NoConvergence with the recorded history when the
-    iteration cap is hit.
+    iteration cap is hit.  F is called once per node; the products with
+    dphi take one batched call per iteration.
     """
     w0 = algebra.element(w0)
     nodes = path.segments
     if nodes % 2:
         nodes += 1
     ts = np.linspace(0.0, path.t1, nodes + 1)
-    points = np.stack([path.point(t) for t in ts])
-    velocities = np.stack([path.velocity(t) for t in ts])
-    jphis = [phi.jacobian(p) for p in points]
-    dphi = np.stack([jphis[i] @ velocities[i] for i in range(len(ts))])
+    points, dphi = pushforward(phi, path, ts)
     h = path.t1 / nodes
 
     current = np.tile(w0, (len(ts), 1)).astype(np.result_type(w0, dphi))
     history = []
     for iteration in range(1, max_iter + 1):
-        integrand = np.stack([
-            algebra.product(F(current[i]), dphi[i]) for i in range(len(ts))
-        ])
+        integrand = algebra.product(each(F, current), dphi)
         nxt = w0 + _cumulative_integral(integrand, h)
         diff = float(np.abs(nxt - current).max())
         history.append(diff)

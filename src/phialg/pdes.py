@@ -27,6 +27,12 @@ FIRST_ORDER_STEP = 1e-6
 FLAG_TOL = 1e-4
 
 
+def _require_finite(what, *values):
+    """Reject nan and inf parameters before any of them reaches LAPACK."""
+    if not np.isfinite(np.asarray(values, dtype=float)).all():
+        raise DegenerateParameters(f"{what} parameters must be finite, got {values}")
+
+
 # -- generic finite-difference residual ----------------------------------------
 
 
@@ -69,6 +75,9 @@ class FirstOrderPDE:
     b: float
     c: float
     d: float
+
+    def __post_init__(self):
+        _require_finite("first-order PDE", self.a, self.b, self.c, self.d)
 
     def terms(self):
         return [
@@ -133,6 +142,7 @@ def system_451_solutions(a1, a2, b1, b2, family, c1, c2):
     family "hyperbolic": y = e^{-h}(c1 cosh h + c2 sinh h),
                          z = e^{-h}(c1 sinh h + c2 cosh h)
     """
+    _require_finite("system451", a1, a2, b1, b2, c1, c2)
     s = a1 + a2
     if abs(s) < 1e-12:
         raise DegenerateParameters("a1 + a2 = 0")
@@ -185,6 +195,10 @@ class SecondOrderPDE:
     E: float
     p1: float = 0.0
     p2: float = 0.0
+
+    def __post_init__(self):
+        _require_finite("second-order PDE", self.A, self.B, self.C, self.D, self.E,
+                        self.p1, self.p2)
 
     def terms(self):
         return [
@@ -272,6 +286,9 @@ class HeatProblem:
     alpha: float
     p: tuple
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        _require_finite("heat", self.alpha, self.amplitude, *self.p)
 
     def terms(self):
         return [

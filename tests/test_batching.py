@@ -1,0 +1,246 @@
+"""Batched quadrature gives the bits of the per-node loop it replaced.
+
+Each reference below evaluates one node at a time, the way the integrand was
+evaluated before the node stack was batched: ``f(u)``, ``phi.jacobian(u) @
+path.velocity(t)`` and ``algebra.product`` per node, then the Simpson weights.
+Every comparison is ``np.array_equal``.
+"""
+
+import numpy as np
+import pytest
+
+from phialg.algebra import algebra_a2_12, complex_algebra
+from phialg.calculus import phi_polynomial, phi_reciprocal_power
+from phialg.catalog import PHI_BUILDERS
+from phialg.errors import SingularElement
+from phialg.integrals import Path, closed_loop_check, line_integral
+from phialg.maps import SmoothMap, compose
+from phialg.odes import _cumulative_integral, picard, separable_solve
+
+LADDER = (16, 32, 64)
+
+
+def reference_integral(f, phi, algebra, path, segments):
+    n = segments + segments % 2
+    ts = np.linspace(0.0, path.t1, n + 1)
+    values = np.stack([algebra.product(f(path.point(t)),
+                                       phi.jacobian(path.point(t)) @ path.velocity(t))
+                       for t in ts])
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    h = path.t1 / n
+    return (h / 3.0) * np.tensordot(weights, values, axes=(0, 0))
+
+
+def reference_cumulative(values, h):
+    out = np.zeros_like(values)
+    for idx in range(2, values.shape[0], 2):
+        out[idx] = out[idx - 2] + (h / 3.0) * (values[idx - 2] + 4.0 * values[idx - 1] + values[idx])
+    for idx in range(1, values.shape[0], 2):
+        out[idx] = out[idx - 1] + (h / 12.0) * (
+            5.0 * values[idx - 1] + 8.0 * values[idx] - values[idx + 1])
+    return out
+
+
+def reference_picard(F, phi, algebra, w0, path, tol=1e-10, max_iter=60):
+    n = path.segments + path.segments % 2
+    ts = np.linspace(0.0, path.t1, n + 1)
+    points = np.stack([path.point(t) for t in ts])
+    dphi = np.stack([phi.jacobian(p) @ path.velocity(t) for p, t in zip(points, ts)])
+    current = np.tile(w0, (len(ts), 1)).astype(np.result_type(w0, dphi))
+    history = []
+    for _ in range(max_iter):
+        integrand = np.stack([algebra.product(F(w), d) for w, d in zip(current, dphi)])
+        nxt = w0 + reference_cumulative(integrand, path.t1 / n)
+        history.append(float(np.abs(nxt - current).max()))
+        current = nxt
+        if history[-1] <= tol:
+            return points, current, history
+    raise AssertionError("reference Picard iteration did not converge")
+
+
+def embedded_circle(center, radius, basis):
+    """A closed path with a plain scalar gamma: evaluated node by node."""
+    e1, e2 = basis
+
+    def gamma(t):
+        return center + radius * (np.cos(t) * e1 + np.sin(t) * e2)
+
+    def velocity(t):
+        return radius * (-np.sin(t) * e1 + np.cos(t) * e2)
+
+    return Path(gamma, 2.0 * np.pi, derivative=velocity, closed=True)
+
+
+def loop_cases(families):
+    rng = np.random.default_rng(11)
+    for fam in families:
+        center = fam.sample(rng)
+        if fam.phi.k == 2:
+            path = Path.circle(center=tuple(center), radius=0.1)
+        else:
+            basis = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+            path = embedded_circle(center, 0.1, basis)
+        for name, f in fam.function_items():
+            yield fam, name, f, path
+
+
+def test_line_integral_and_loop_check_match_the_node_loop(families):
+    count = 0
+    for fam, name, f, path in loop_cases(families):
+        label = f"{fam.name} {name}"
+        got = line_integral(f, fam.phi, fam.algebra, path, segments=64)
+        want = reference_integral(f, fam.phi, fam.algebra, path, 64)
+        assert np.array_equal(got, want), label
+        report = closed_loop_check(f, fam.phi, fam.algebra, path, ladder=LADDER)
+        mags = [float(np.linalg.norm(reference_integral(f, fam.phi, fam.algebra, path, n)))
+                for n in LADDER]
+        assert report.magnitudes == mags, label
+        count += 1
+    assert count == sum(len(fam.functions) for fam in families)
+
+
+def test_open_segments_and_odd_counts_match_the_node_loop(families):
+    fam = families[0]
+    f = fam.functions["cubic"]
+    path = Path.segment([1.0, 0.5], [1.4, 1.1])
+    for segments in (1, 7, 64):
+        got = line_integral(f, fam.phi, fam.algebra, path, segments=segments)
+        assert np.array_equal(got, reference_integral(f, fam.phi, fam.algebra, path, segments))
+
+
+def test_fallback_maps_and_paths_match_the_node_loop():
+    c = complex_algebra()
+
+    def square(u):
+        x, y = u
+        return np.array([x * x - y * y, 2.0 * x * y])
+
+    phi = SmoothMap(2, 2, square, name="z^2 unpacked")  # no Jacobian: central differences
+    f = phi_polynomial([c.zero(), c.unit], phi, c)
+    path = Path(lambda t: np.array([1.5 + 0.3 * np.cos(t), 0.2 + 0.3 * np.sin(t)]),
+                2.0 * np.pi, closed=True)  # no derivative: central differences
+    assert not phi.broadcasts and not f.broadcasts and not path.broadcasts
+    got = line_integral(f, phi, c, path, segments=32)
+    assert np.array_equal(got, reference_integral(f, phi, c, path, 32))
+    g = compose(SmoothMap.identity(2), phi)
+    assert np.array_equal(line_integral(g, phi, c, path, segments=32),
+                          reference_integral(g, phi, c, path, 32))
+
+
+def test_batch_evaluation_matches_points(families):
+    rng = np.random.default_rng(3)
+    maps = [builder() for builder in PHI_BUILDERS.values()]
+    maps += [f for fam in families for f in fam.functions.values()]
+    maps += [SmoothMap.constant([0.5, -1.0], k=2), compose(maps[0], maps[2])]
+    for m in maps:
+        points = rng.uniform(0.5, 1.5, size=(2, 5, m.k))
+        values = m.batch(points)
+        jacobians = m.batch_jacobian(points)
+        assert values.shape == (2, 5, m.n) and jacobians.shape == (2, 5, m.n, m.k)
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(values[idx], m(points[idx])), m.name
+            assert np.array_equal(jacobians[idx], m.jacobian(points[idx])), m.name
+
+
+def test_algebra_stacks_match_elements(families):
+    rng = np.random.default_rng(4)
+    for alg in {id(fam.algebra): fam.algebra for fam in families}.values():
+        a = rng.uniform(0.5, 1.5, size=(7, alg.dim)) * alg.unit + rng.uniform(-0.2, 0.2, (7, alg.dim))
+        b = rng.standard_normal((7, alg.dim))
+        products, reps, inverses = alg.product(a, b), alg.rep(a), alg.inverse(a)
+        for i in range(7):
+            assert np.array_equal(products[i], alg.product(a[i], b[i]))
+            assert np.array_equal(reps[i], alg.rep(a[i]))
+            assert np.array_equal(inverses[i], alg.inverse(a[i]))
+
+
+def test_stacked_inverse_raises_for_the_first_singular_element():
+    alg = algebra_a2_12()
+    stack = np.array([[1.0, 2.0], [0.0, 1.0], [3.0, 0.0]])
+    with pytest.raises(SingularElement) as alone:
+        alg.inverse(stack[1])
+    with pytest.raises(SingularElement) as stacked:
+        alg.inverse(stack)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_reciprocal_loop_through_the_singular_set_still_raises():
+    alg = algebra_a2_12()  # singular where a component vanishes
+    ident = SmoothMap.identity(2)
+    recip = phi_reciprocal_power(ident, alg, 1)
+    path = Path.circle(center=(1.0, 1.0), radius=1.0)  # the node at t = pi is (0, 1)
+    with pytest.raises(SingularElement) as want:
+        reference_integral(recip, ident, alg, path, 64)
+    with pytest.raises(SingularElement) as got:
+        line_integral(recip, ident, alg, path, segments=64)
+    assert str(got.value) == str(want.value)
+
+
+def test_cumulative_integral_matches_the_running_loop():
+    rng = np.random.default_rng(8)
+    real = rng.standard_normal((129, 3))
+    cplx = rng.standard_normal((33, 2)) + 1j * rng.standard_normal((33, 2))
+    for values, h in ((real, 0.013), (cplx, 0.25), (real[:3], 1.0)):
+        assert np.array_equal(_cumulative_integral(values, h), reference_cumulative(values, h))
+
+
+def indexed_square(algebra):
+    """w -> w^2 written with w[0], so it takes one point and no stack."""
+    def F(w):
+        return algebra.product(np.array([w[0], w[1]]), w)
+
+    return F
+
+
+def test_picard_with_a_non_broadcasting_rhs_matches_the_node_loop(families):
+    for fam in families:
+        if not fam.name.startswith("complex-"):
+            continue
+        u0 = fam.sample(np.random.default_rng(2))
+        path = Path.segment(u0, u0 + 0.2 / np.sqrt(fam.phi.k), segments=64)
+        w0 = np.array([0.4, 0.2])
+        F = indexed_square(fam.algebra)
+        res = picard(F, fam.phi, fam.algebra, w0, path)
+        taus, values, history = reference_picard(F, fam.phi, fam.algebra, w0, path)
+        assert np.array_equal(res.taus, taus), fam.name
+        assert np.array_equal(res.values, values), fam.name
+        assert res.history == history, fam.name
+
+
+def reference_separable(K, L, phi, algebra, w0, tau0, tau, segments):
+    kmap = SmoothMap(phi.k, algebra.dim, K)
+    inv_L = SmoothMap(algebra.dim, algebra.dim, lambda v: algebra.inverse(L(v)))
+    ident = SmoothMap.identity(algebra.dim)
+    target = reference_integral(kmap, phi, algebra, Path.segment(tau0, tau), segments)
+    tol = 1e-12 * (1.0 + float(np.linalg.norm(target)))
+    w = w0.copy()
+    for _ in range(50):
+        left = (algebra.zero() if np.array_equal(w, w0) else
+                reference_integral(inv_L, ident, algebra, Path.segment(w0, w), segments))
+        r = left - target
+        if np.linalg.norm(r) <= tol:
+            return w
+        w = w - np.linalg.solve(algebra.rep(algebra.inverse(L(w))), r)
+    raise AssertionError("reference Newton did not converge")
+
+
+def test_separable_with_a_non_broadcasting_L_matches_the_node_loop(families):
+    fam = next(f for f in families if f.name == "complex-swap")
+    alg, phi = fam.algebra, fam.phi
+    K = phi_polynomial([alg.zero(), alg.unit], phi, alg)
+    L = indexed_square(alg)
+    w0, tau0 = np.array([0.6, 0.3]), np.array([1.2, 0.8])
+    sol = separable_solve(K, L, phi, alg, w0, tau0, segments=32)
+    for tau in (np.array([1.25, 0.85]), np.array([1.3, 0.95])):
+        want = reference_separable(K, L, phi, alg, w0, tau0, tau, 32)
+        assert np.array_equal(sol.solve_at(tau), want)
+
+    def plain_K(u):  # a plain callable is wrapped in a SmoothMap once
+        return K(u)
+
+    sol2 = separable_solve(plain_K, L, phi, alg, w0, tau0, segments=32)
+    tau = np.array([1.3, 0.95])
+    assert np.array_equal(sol2.solve_at(tau),
+                          reference_separable(plain_K, L, phi, alg, w0, tau0, tau, 32))

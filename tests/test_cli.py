@@ -1,5 +1,7 @@
+import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -268,3 +270,28 @@ def test_paper_examples_table_reports_the_run_time(capsys):
     code, out, _ = run_cli(capsys, "paper-examples")
     assert code == 0
     assert re.fullmatch(r"\(ran in \d+\.\d{3}s\)", out.splitlines()[-1])
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_not_reported_as_bad_input(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["--json", "ode", "solve", "--family", "exp", "--algebra", "C",
+                 "--phi", "identity2", "--C", "1,0"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_files_that_cannot_be_opened_are_input_errors(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv in (["algebra", "verify", "--file", missing],
+                 ["algebra", "build", "--family", "C", "--out", str(tmp_path / "no" / "a.json")],
+                 ["cre", "emit", "--algebra", missing, "--phi", "swap"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "No such file" in err, argv

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +16,8 @@ from phialg.algebra import (
 from phialg.calculus import phi_polynomial
 from phialg.catalog import nonlinear_3to2_map, swap_map, swap_sum_map
 from phialg.cre import (
+    CREquation,
+    CRESystem,
     TwoPDESystem,
     emit_cre,
     emit_weighted_cre,
@@ -364,3 +367,28 @@ def test_emit_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         emit_weighted_cre(algebra_a3_1((0.0,) * 6),
                           SmoothMap.linear(np.zeros((3, 2))), 1.0, 0.0)
+
+
+def test_max_residual_is_nan_when_a_jacobian_is_nan():
+    system = emit_cre(complex_algebra(), SmoothMap.identity(2))
+    f = SmoothMap(2, 2, lambda u: u,
+                  jac=lambda u: np.full((2, 2), np.nan) if u[0] > 0 else np.eye(2))
+    points = [np.array([-1.0, 0.5]), np.array([1.0, 0.5])]
+    assert system.max_residual(f, points[:1]) == 0.0
+    assert math.isnan(system.max_residual(f, points))
+
+
+def test_residual_is_nan_when_one_equation_is_nan():
+    system = CRESystem([CREquation(0, 1, 0, np.zeros((2, 2))),
+                        CREquation(0, 1, 1, np.full((2, 2), np.nan))], k=2, n=2, constant=True)
+    assert math.isnan(system.residual(SmoothMap.identity(2), np.array([0.3, 0.4])))
+
+
+def test_residual_of_a_system_without_equations_is_an_error():
+    system = emit_cre(complex_algebra(), SmoothMap.linear([[1.0], [0.0]]))
+    assert len(system) == 0
+    u = np.array([0.5])
+    with pytest.raises(ValueError):
+        system.residual(SmoothMap.linear([[1.0], [2.0]]), u)
+    with pytest.raises(ValueError):
+        system.max_residual(SmoothMap.linear([[1.0], [2.0]]), [u])

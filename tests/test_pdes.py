@@ -270,3 +270,19 @@ def test_heat_b1_zero():
     # alpha = 0 makes the first exponent vanish while the system stays solvable
     with pytest.raises(B1Zero):
         heat_solution(HeatProblem(alpha=0.0, p=(1, 0, 0, 0, 0, 1)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: heat_solution(HeatProblem(alpha=math.nan, p=(1, 0, 0, 0, 0, 1))),
+    lambda: HeatProblem(alpha=1.0, p=(1, 0, math.inf, 0, 0, 1)),
+    lambda: HeatProblem(alpha=1.0, p=(1, 0, 0, 0, 0, 1), amplitude=-math.inf),
+    lambda: FirstOrderPDE(a=1.0, b=math.nan, c=0.0, d=1.0),
+    lambda: SecondOrderPDE(A=1.0, B=0.0, C=1.0, D=math.inf, E=1.0),
+    lambda: SecondOrderPDE(A=1.0, B=0.0, C=1.0, D=1.0, E=1.0, p1=math.nan),
+    lambda: system_451_solutions(1.0, 1.0, math.nan, 1.0, "trig", 1.0, 0.0),
+    lambda: system_451_solutions(1.0, 1.0, 1.0, 1.0, "hyperbolic", math.inf, 0.0),
+])
+def test_non_finite_parameters_are_rejected_before_lapack(build, capfd):
+    with pytest.raises(DegenerateParameters):
+        build()
+    assert capfd.readouterr().err == ""
