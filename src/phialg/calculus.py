@@ -156,12 +156,17 @@ def phi_rational(num_coeffs, den_coeffs, phi, algebra, name="rational"):
     dnum = poly_derivative_coeffs(num)
     dden = poly_derivative_coeffs(den)
 
-    def value_and_derivative(u):
+    def func(u):
+        w = phi.batch(u)
+        # the inverse raises SingularElement on the singular set
+        return algebra.product(_poly_eval(num, algebra, w),
+                               algebra.inverse(_poly_eval(den, algebra, w)))
+
+    def jac(u):
         w = phi.batch(u)
         p = _poly_eval(num, algebra, w)
         q = _poly_eval(den, algebra, w)
-        qinv = algebra.inverse(q)  # raises SingularElement on the singular set
-        value = algebra.product(p, qinv)
+        qinv = algebra.inverse(q)
         dp = _poly_eval(dnum, algebra, w)
         dq = _poly_eval(dden, algebra, w)
         # (p/q)' = (p' q - p q') / q^2
@@ -169,13 +174,7 @@ def phi_rational(num_coeffs, den_coeffs, phi, algebra, name="rational"):
             algebra.product(dp, q) - algebra.product(p, dq),
             algebra.product(qinv, qinv),
         )
-        return value, deriv
-
-    def func(u):
-        return value_and_derivative(u)[0]
-
-    def jac(u):
-        return algebra.rep(value_and_derivative(u)[1]) @ phi.batch_jacobian(u)
+        return algebra.rep(deriv) @ phi.batch_jacobian(u)
 
     return SmoothMap(phi.k, algebra.dim, func, jac=jac, name=name, broadcasts=phi.broadcasts)
 

@@ -10,7 +10,8 @@ at every node, then ``f.batch`` and ``phi.batch_jacobian`` on the whole stack
 (see ``maps`` for which maps do that natively), then one algebra product.
 ``Path.segment`` and ``Path.circle`` give their nodes as array expressions;
 a path built from a user ``gamma`` is evaluated node by node.  The result is
-bit for bit that of evaluating the integrand one node at a time.
+bit for bit that of evaluating the integrand one node at a time.  A loop
+ladder evaluates each node its nested levels share once.
 """
 
 from __future__ import annotations
@@ -112,21 +113,70 @@ def pushforward(phi, path, ts):
     return points, (jphis @ path.velocities(ts)[..., None])[..., 0]
 
 
-def line_integral(f, phi, algebra, path, segments=None):
-    """Composite-Simpson value of the algebra-valued line integral of f."""
-    if f.n != algebra.dim or phi.n != algebra.dim or f.k != phi.k:
-        raise DimensionMismatch("f, phi and the algebra must share dimensions")
-    n = _segment_count(segments) if segments is not None else path.segments
-    if n % 2:
-        n += 1
-    ts = np.linspace(0.0, path.t1, n + 1)
+def _simpson_count(segments):
+    """The Simpson subdivision count for a requested one: at least 1, bumped to even."""
+    n = _segment_count(segments)
+    return n + n % 2
+
+
+def _node_values(f, phi, algebra, path, ts):
+    """The integrand f(gamma) * dphi(gamma') at the parameters ts, in one pass."""
     points, dphi = pushforward(phi, path, ts)
-    values = algebra.product(f.batch(points), dphi)
+    return algebra.product(f.batch(points), dphi)
+
+
+def _simpson(values, t1, n):
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    h = path.t1 / n
+    h = t1 / n
     return (h / 3.0) * np.tensordot(weights, values, axes=(0, 0))
+
+
+def _check_dims(f, phi, algebra):
+    if f.n != algebra.dim or phi.n != algebra.dim or f.k != phi.k:
+        raise DimensionMismatch("f, phi and the algebra must share dimensions")
+
+
+def line_integral(f, phi, algebra, path, segments=None):
+    """Composite-Simpson value of the algebra-valued line integral of f."""
+    _check_dims(f, phi, algebra)
+    n = _simpson_count(segments if segments is not None else path.segments)
+    return _simpson(_node_values(f, phi, algebra, path, np.linspace(0.0, path.t1, n + 1)),
+                    path.t1, n)
+
+
+def _ladder_values(f, phi, algebra, path, ladder):
+    """The integrand at the Simpson nodes of each ladder level, each distinct node once.
+
+    linspace(0, t1, n + 1) is every r-th node of linspace(0, t1, r n + 1),
+    bit for bit, when r is a power of two.  A level so related to one already
+    evaluated takes the shared nodes from it and evaluates only the others;
+    any other level is evaluated whole.  Levels are filled in ladder order,
+    so a failing node raises at the first level that has it, with the error
+    of that level evaluated on its own.
+    """
+    done = {}
+    for segments in ladder:
+        n = _simpson_count(segments)
+        finer = [m for m in done if m % n == 0 and _power_of_two(m // n)]
+        coarser = [m for m in done if n % m == 0 and _power_of_two(n // m)]
+        ts = np.linspace(0.0, path.t1, n + 1)
+        if finer:
+            done[n] = done[finer[0]][::finer[0] // n]
+        elif coarser:
+            m = max(coarser)
+            fresh = np.arange(n + 1) % (n // m) != 0
+            new = _node_values(f, phi, algebra, path, ts[fresh])
+            done[n] = np.empty((n + 1, *new.shape[1:]), dtype=np.result_type(new, done[m]))
+            done[n][~fresh], done[n][fresh] = done[m], new
+        else:
+            done[n] = _node_values(f, phi, algebra, path, ts)
+        yield n, done[n]
+
+
+def _power_of_two(r):
+    return r & (r - 1) == 0
 
 
 @dataclass
@@ -153,12 +203,15 @@ def closed_loop_check(f, phi, algebra, path, ladder=(64, 128, 256, 512), floor=F
 
     The observed convergence order is reported for consecutive ladder steps
     whose magnitudes are both above the round-off floor; when everything sits
-    at the floor already the loop is flagged as converged there.
+    at the floor already the loop is flagged as converged there.  A node
+    shared by levels whose counts differ by a power of two is evaluated once;
+    the magnitudes are bit for bit those of evaluating each level on its own.
     """
     if not path.closed:
         raise ValueError("closed_loop_check needs a closed path")
-    mags = [float(np.linalg.norm(line_integral(f, phi, algebra, path, segments=n)))
-            for n in ladder]
+    _check_dims(f, phi, algebra)
+    mags = [float(np.linalg.norm(_simpson(values, path.t1, n)))
+            for n, values in _ladder_values(f, phi, algebra, path, ladder)]
     scale = max(1.0, *mags)
     orders = []
     for a, b in zip(mags, mags[1:]):

@@ -11,8 +11,15 @@ minima of the smallest singular values in lockstep, alternating between the
 trailing singular vectors and a least-squares parameter fit read off the
 pencil rows; and it certifies every candidate by evaluating the resulting
 Cauchy-Riemann residual on a grid, rejecting it at the first point above
-tolerance or not finite.  A returned witness is always self-certifying, an
-empty answer only means the search found nothing in the box.
+tolerance or not finite.  A returned witness is always self-certifying.
+
+Before the search, a closed-form obstruction reads the three 2x2 blocks of
+Jf = L0 + x L1 + y L2: an algebrizable field has them in the two-dimensional
+space rep(A) Phi, so its ratios L_i L_j^-1 commute.  When the blocks are
+independent by a margin that no certifiable field reaches, there is no
+linear phi and no planar algebra, and the answer is [] without a scan.  So
+an empty answer is either that certificate, or the search finding nothing
+in the box when the obstruction could not decide (see ``_obstructed``).
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ CASE_A2_2 = "A2_2"
 CASE_A2_12 = "A2_12"
 
 WITNESS_TOL = 1e-8
+# the factor by which a field's commutator obstruction must clear the
+# certification tolerance before algebrize answers [] without a search
+OBSTRUCTION_MARGIN = 1e4
 # The search forms fourth-degree products of pencil entries, det(M4) among
 # them; the entries are a few times the largest coefficient, so coefficients
 # below this leave room for those products to stay finite.
@@ -289,6 +299,54 @@ def _stacked(vf, case, params, include_linear):
     return build_M6(vf, case, params)[_rows(include_linear)]
 
 
+def _jacobian_blocks(vf):
+    """The blocks L0, L1, L2 of Jf(x, y) = L0 + x L1 + y L2, stacked: shape (3, 2, 2)."""
+    a, b = vf.a, vf.b
+    return np.array([
+        [[a[1], a[2]], [b[1], b[2]]],
+        [[2 * a[3], a[4]], [2 * b[3], b[4]]],
+        [[a[4], 2 * a[5]], [b[4], 2 * b[5]]],
+    ])
+
+
+def _obstructed(vf, tol):
+    """True when the blocks of Jf rule out every linear phi and planar algebra.
+
+    With Jf = L0 + x L1 + y L2: if vf is differentiable relative to a linear
+    phi with matrix Phi and a planar algebra A, every block lies in the
+    two-dimensional space rep(A) Phi (tests/test_proofs.py), so the three
+    blocks are linearly dependent.  For an invertible L_j this says that the
+    ratios L_i L_j^-1 commute, since a 2x2 matrix commutes with a non-scalar
+    X exactly when it lies in the span of I and X.  The measure is
+
+        omega = sigma3(B) sigma_min(K) / F,
+
+    B the 3x4 matrix of the flattened blocks, sigma3 its third singular
+    value, K its unit null direction read as a 2x2 matrix, and F the largest
+    |Jf| over the verify grid (Frobenius norms throughout).
+    The factor sigma_min(K) covers a nearly singular Phi: as Phi degenerates,
+    the Cauchy-Riemann equations shrink to one rank-one equation s^T L t = 0,
+    which blocks with a rank-one K all meet.  omega is at most
+    min |B R| / F over rank-one unit matrices R.
+
+    The skip rests on this first-order bound.  Certification accepts a
+    defect of tol (1 + |Jf| |Phi|) in each CR equation, with |Phi| >= 2
+    because Phi comes from a unit null vector.  Its strongest equation is
+    nearly rank-one once Phi is nearly singular, so a certified field has
+    omega <= c tol (1 + 1 / (2 F)), with c of order one for a CR system of
+    order one; OBSTRUCTION_MARGIN stands in for c.  L0 = 0, blocks that are
+    multiples of one another, nearly rank-one complements and tiny fields
+    give a small omega or a large bound, and are left to the search.
+    """
+    blocks = _jacobian_blocks(vf)
+    x, y = np.array(_VERIFY_GRID).T[:, :, None, None]
+    scale = float(np.linalg.norm(blocks[0] + x * blocks[1] + y * blocks[2], axis=(1, 2)).max())
+    _, svals, vt = np.linalg.svd(blocks.reshape(3, 4))
+    k_min = np.linalg.svd(vt[3].reshape(2, 2), compute_uv=False)[1]
+    omega = float(svals[2] * k_min) / scale
+    return omega > OBSTRUCTION_MARGIN * tol * (1.0 + 1.0 / (2.0 * scale))
+
+
 def _pencil_seeds(vf):
     """Closed-form parameter candidates from the Jacobian pencil.
 
@@ -297,12 +355,7 @@ def _pencil_seeds(vf):
     shape reads the parameters off directly.  Candidates are certified like
     any other seed, so spurious ones are harmless.
     """
-    a, b = vf.a, vf.b
-    mats = [
-        np.array([[a[1], a[2]], [b[1], b[2]]]),
-        np.array([[2 * a[3], a[4]], [2 * b[3], b[4]]]),
-        np.array([[a[4], 2 * a[5]], [b[4], 2 * b[5]]]),
-    ]
+    mats = _jacobian_blocks(vf)
     seeds = []
     for i in range(3):
         for j in range(3):
@@ -341,13 +394,18 @@ def algebrize(vf, cases=(CASE_A2_1, CASE_A2_2, CASE_A2_12), box=(-10.0, 10.0),
               step=0.25, tol=WITNESS_TOL, refine_iters=60):
     """Search for witnesses that vf is differentiable relative to a linear map.
 
+    A field without a quadratic part is tried against its linear part.  A
+    quadratic field first meets the commutator obstruction (``_obstructed``):
+    when it clears its margin, the empty list returned is a certificate that
+    no linear phi and no planar algebra fit vf.  Otherwise the search runs.
     Parameter-free case: the stacked matrix directly.  Parametric cases: scan
     the box for small least-singular-values of M4, then alternate
     null-vector / parameter refinement from each local minimum.  Witnesses
     are deduplicated on parameters and kept only when the grid residual is at
-    most ``tol``.  An empty list means no witness was found in the box, not a
-    proof of impossibility.  The box needs finite bounds lo < hi and the step
-    must be finite and positive; otherwise DegenerateParameters is raised.
+    most ``tol``; an empty list from the search means no witness was found in
+    the box, not a proof of impossibility.  The box needs finite bounds
+    lo < hi and the step must be finite and positive; otherwise
+    DegenerateParameters is raised.
     """
     lo, hi = box
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -358,7 +416,13 @@ def algebrize(vf, cases=(CASE_A2_1, CASE_A2_2, CASE_A2_12), box=(-10.0, 10.0),
     if vf.quadratic_norm <= 1e-14:
         w = _linear_witness(vf, tol)
         return [w] if w is not None else []
+    if _obstructed(vf, tol):
+        return []
+    return _search(vf, cases, np.arange(lo, hi + step / 2.0, step), tol, refine_iters)
 
+
+def _search(vf, cases, grid, tol, refine_iters):
+    """The witnesses of a quadratic field: the A2_12 null vectors, then the grid scan."""
     witnesses = []
     include_linear = vf.linear_norm > 1e-12
 
@@ -370,7 +434,6 @@ def algebrize(vf, cases=(CASE_A2_1, CASE_A2_2, CASE_A2_12), box=(-10.0, 10.0),
                 break
 
     pencil_seeds = _pencil_seeds(vf)
-    grid = np.arange(lo, hi + step / 2.0, step)
     for case in (CASE_A2_1, CASE_A2_2):
         if case not in cases:
             continue

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from phialg.algebra import algebra_a2_12, complex_algebra
-from phialg.calculus import phi_polynomial, phi_reciprocal_power
+from phialg.calculus import _poly_eval, phi_polynomial, phi_reciprocal_power, poly_derivative_coeffs
 from phialg.catalog import PHI_BUILDERS
 from phialg.errors import SingularElement
 from phialg.integrals import Path, closed_loop_check, line_integral
@@ -99,6 +99,92 @@ def test_line_integral_and_loop_check_match_the_node_loop(families):
         assert report.magnitudes == mags, label
         count += 1
     assert count == sum(len(fam.functions) for fam in families)
+
+
+def per_level_magnitudes(f, phi, algebra, path, ladder):
+    """Each ladder level evaluated on its own, as before levels shared their nodes."""
+    return [float(np.linalg.norm(line_integral(f, phi, algebra, path, segments=n)))
+            for n in ladder]
+
+
+@pytest.mark.parametrize("ladder", [
+    (64, 128, 256, 512),   # the default: each level adds the nodes between the last one's
+    (12, 25, 50, 100),     # the CLI's N // 8 ladder for N = 100: only 100 shares nodes
+    (7, 14, 28),           # odd counts bumped to even: 8 and 14 whole, 28 shares 14's
+    (9, 48, 18, 5, 16),    # unsorted: 6 is a slice of 48, while 16 (a third) is whole
+])
+def test_loop_ladder_matches_each_level_on_its_own(families, ladder):
+    for fam, name, f, path in loop_cases(families):
+        report = closed_loop_check(f, fam.phi, fam.algebra, path, ladder=ladder)
+        want = per_level_magnitudes(f, fam.phi, fam.algebra, path, ladder)
+        assert np.array_equal(report.magnitudes, want), f"{fam.name} {name}"
+
+
+def test_default_ladder_evaluates_each_distinct_node_once():
+    c = complex_algebra()
+    calls = []
+
+    def square(u):  # takes one point only, so every node is one call
+        calls.append(1)
+        x, y = u
+        return np.array([x * x - y * y, 2.0 * x * y])
+
+    f = SmoothMap(2, 2, square, name="counted square")
+    closed_loop_check(f, SmoothMap.identity(2), c, Path.circle(center=(2.0, 0.0)))
+    assert len(calls) == 513
+
+
+def test_loop_ladder_through_the_singular_set_raises_at_the_first_failing_level():
+    alg = algebra_a2_12()
+    ident = SmoothMap.identity(2)
+    recip = phi_reciprocal_power(ident, alg, 1)
+    # (1, 0) at t = pi/2 is a node of 12 segments only; (0, -1) at t = pi is a node of both
+    path = Path.circle(center=(1.0, -1.0), radius=1.0)
+    messages = []
+    for n in (6, 12):
+        with pytest.raises(SingularElement) as level:
+            line_integral(recip, ident, alg, path, segments=n)
+        messages.append(str(level.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(SingularElement) as got:
+        closed_loop_check(recip, ident, alg, path, ladder=(6, 12))
+    assert str(got.value) == messages[0]
+
+
+def reference_rational(num, den, phi, algebra):
+    """Value and Jacobian of num / den from one shared evaluation, as before the split."""
+    dnum, dden = poly_derivative_coeffs(num), poly_derivative_coeffs(den)
+
+    def value_and_jacobian(u):
+        w = phi.batch(u)
+        p, q = _poly_eval(num, algebra, w), _poly_eval(den, algebra, w)
+        qinv = algebra.inverse(q)
+        dp, dq = _poly_eval(dnum, algebra, w), _poly_eval(dden, algebra, w)
+        deriv = algebra.product(algebra.product(dp, q) - algebra.product(p, dq),
+                                algebra.product(qinv, qinv))
+        return algebra.product(p, qinv), algebra.rep(deriv) @ phi.batch_jacobian(u)
+
+    return value_and_jacobian
+
+
+def test_rational_value_and_jacobian_match_the_shared_evaluation(families):
+    rng = np.random.default_rng(6)
+    count = 0
+    for fam in families:
+        if "e/phi" not in fam.functions:
+            continue
+        alg = fam.algebra
+        ref = reference_rational([alg.unit], [alg.zero(), alg.unit], fam.phi, alg)
+        f = fam.functions["e/phi"]
+        stack = np.stack([fam.sample(rng) for _ in range(6)]).reshape(2, 3, -1)
+        for u in (stack[0, 0], stack):
+            value, jac = ref(u)
+            assert np.array_equal(f.batch(u), value), fam.name
+            assert np.array_equal(f.batch_jacobian(u), jac), fam.name
+        assert np.array_equal(f(stack[1, 2]), ref(stack[1, 2])[0]), fam.name
+        assert np.array_equal(f.jacobian(stack[1, 2]), ref(stack[1, 2])[1]), fam.name
+        count += 1
+    assert count == 9
 
 
 def test_open_segments_and_odd_counts_match_the_node_loop(families):

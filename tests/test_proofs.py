@@ -1,0 +1,139 @@
+"""Symbolic proofs of the planar-algebra lemma behind algebrize's obstruction.
+
+For the three planar families, with symbolic parameters and elements:
+
+* rep(A) is the span of I and rep(g), g the basis element that is not the
+  unit, and rep(g) is not scalar, so the span is two-dimensional;
+* any two elements of rep(A) commute;
+* an invertible element's inverse lies in rep(A): adj(rep(z)) = rep(w) for
+  w = tr(rep(z)) e - z, so rep(z)^-1 = rep(w / det rep(z));
+* for an invertible Phi, the Cauchy-Riemann defect of a block L vanishes
+  when L Phi^-1 lies in rep(A), and the defect map has rank two, so those
+  are the only blocks with no defect;
+* a 2x2 matrix commutes with a non-scalar X exactly when it lies in the
+  span of I and X.
+
+Hence, when f is differentiable relative to a linear phi, each block of
+Jf = L0 + x L1 + y L2 is L_i = rep(g_i) Phi, the three blocks lie in the
+two-dimensional space rep(A) Phi, each ratio L_i L_j^-1 equals
+rep(g_i) rep(g_j)^-1, and the ratios commute with one another; by the last
+point, commuting ratios and linearly dependent blocks are the same
+condition.
+"""
+
+import itertools
+
+import sympy as sp
+
+alpha, beta, gamma, delta = sp.symbols("alpha beta gamma delta", real=True)
+
+
+def constants(case):
+    """Structure constants c[i][j][k] (e_i e_j = sum_k c[i][j][k] e_k), unit, non-unit basis index."""
+    c = [[[sp.S.Zero] * 2 for _ in range(2)] for _ in range(2)]
+    if case == "A2_1":
+        c[0][0][0] = c[0][1][1] = c[1][0][1] = sp.S.One
+        c[1][1][0], c[1][1][1] = alpha, beta
+        return c, (1, 0), 1
+    if case == "A2_2":
+        c[0][0][0], c[0][0][1] = gamma, delta
+        c[0][1][0] = c[1][0][0] = c[1][1][1] = sp.S.One
+        return c, (0, 1), 0
+    c[0][0][0] = c[1][1][1] = sp.S.One
+    return c, (1, 1), 1
+
+
+CASES = ("A2_1", "A2_2", "A2_12")
+
+
+def rep(c, a):
+    """Matrix of multiplication by a: rep(a)[k, j] = sum_i a_i c[i][j][k]."""
+    return sp.Matrix(2, 2, lambda k, j: sum(a[i] * c[i][j][k] for i in range(2)))
+
+
+def product(c, a, b):
+    return rep(c, a) * sp.Matrix(b)
+
+
+def is_zero(matrix):
+    return sp.expand(matrix) == sp.zeros(*matrix.shape)
+
+
+def element(name):
+    return sp.symbols(f"{name}0 {name}1", real=True)
+
+
+def test_rep_is_the_span_of_the_identity_and_the_non_unit_generator():
+    x0, x1 = element("x")
+    for case in CASES:
+        c, unit, g = constants(case)
+        assert rep(c, unit) == sp.eye(2), case
+        generator = rep(c, [sp.S.One if i == g else sp.S.Zero for i in range(2)])
+        # rep(z) = s I + t rep(g) with the coordinates of z on (unit, g)
+        s, t = sp.symbols("s t")
+        solution = sp.solve(list(rep(c, (x0, x1)) - s * sp.eye(2) - t * generator), [s, t], dict=True)
+        assert len(solution) == 1, case
+        basis = sp.Matrix([list(sp.eye(2)), list(generator)])
+        assert basis.rank() == 2, case
+
+
+def test_any_two_elements_commute():
+    z, w = element("z"), element("w")
+    for case in CASES:
+        c, _, _ = constants(case)
+        assert is_zero(rep(c, z) * rep(c, w) - rep(c, w) * rep(c, z)), case
+
+
+def test_the_inverse_of_an_invertible_element_is_in_the_span():
+    z = element("z")
+    for case in CASES:
+        c, unit, _ = constants(case)
+        rz = rep(c, z)
+        conjugate = [rz.trace() * unit[i] - z[i] for i in range(2)]
+        assert is_zero(rz.adjugate() - rep(c, conjugate)), case
+        assert is_zero(rz * rep(c, conjugate) - rz.det() * sp.eye(2)), case
+
+
+def cr_defect(c, phi, block):
+    """rep(phi_y) L e_x - rep(phi_x) L e_y: the Cauchy-Riemann equations of a block L."""
+    return product(c, phi[:, 1], block[:, 0]) - product(c, phi[:, 0], block[:, 1])
+
+
+def test_blocks_in_rep_times_phi_have_no_cauchy_riemann_defect():
+    phi = sp.Matrix(2, 2, sp.symbols("p00 p01 p10 p11", real=True))
+    g = element("g")
+    for case in CASES:
+        c, unit, _ = constants(case)
+        assert is_zero(cr_defect(c, phi, rep(c, g) * phi)), case
+        # the defect map L -> cr_defect has the columns of rep(phi_y) and
+        # -rep(phi_x); applied to the unit they give phi_y and -phi_x, which
+        # are independent for an invertible phi, so the map has rank two
+        assert rep(c, phi[:, 1]) * sp.Matrix(unit) == phi[:, 1], case
+        assert rep(c, phi[:, 0]) * sp.Matrix(unit) == phi[:, 0], case
+
+
+def test_ratios_of_blocks_in_rep_times_phi_commute():
+    phi = sp.Matrix(2, 2, sp.symbols("p00 p01 p10 p11", real=True))
+    g0, g1, g2 = element("a"), element("b"), element("d")
+    for case in CASES:
+        c, _, _ = constants(case)
+        blocks = [rep(c, g) * phi for g in (g0, g1, g2)]
+        inverse = blocks[2].adjugate()  # L_j^-1 up to the scalar 1 / det(L_j)
+        na, nb = blocks[0] * inverse, blocks[1] * inverse
+        assert is_zero(na * nb - nb * na), case
+
+
+def test_the_commutant_of_a_non_scalar_matrix_is_the_span_of_it_and_the_identity():
+    x = sp.Matrix(2, 2, sp.symbols("x0:4", real=True))
+    y = sp.symbols("y0:4", real=True)
+    bracket = x * sp.Matrix(2, 2, y) - sp.Matrix(2, 2, y) * x
+    # the linear map vec(Y) -> vec(XY - YX)
+    m = sp.Matrix([[sp.diff(entry, v) for v in y] for entry in bracket])
+    assert is_zero(m * sp.Matrix(list(sp.eye(2)))) and is_zero(m * sp.Matrix(list(x)))
+    minors = [[m.extract(list(r), list(c)).det() for r in itertools.combinations(range(4), k)
+               for c in itertools.combinations(range(4), k)] for k in (2, 3)]
+    # rank two exactly: no 3x3 minor survives, and the 2x2 minors vanish
+    # together only when x0 = x3 and x1 = x2 = 0, that is, X scalar
+    assert all(sp.expand(d) == 0 for d in minors[1])
+    nonscalar = (x[0] - x[3]) ** 2 + 2 * x[1] ** 2 + 2 * x[2] ** 2
+    assert sp.expand(sum(d ** 2 for d in minors[0]) - nonscalar ** 2) == 0

@@ -1,13 +1,16 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phialg import quadratic
 from phialg.algebra import algebra_a2_1, algebra_a2_12, algebra_a2_2
 from phialg.calculus import cre_residual
+from phialg.catalog import ALGEBRA_BUILDERS
 from phialg.errors import DegenerateParameters, PhialgError
 from phialg.maps import SmoothMap
 from phialg.quadratic import (
+    WITNESS_TOL,
     QuadraticVF,
     _certify,
     _grid_singular_values,
@@ -306,3 +309,150 @@ def test_certification_rejects_non_finite_residual(monkeypatch, bad):
 def test_algebrize_rejects_bad_box_or_step(box, step):
     with pytest.raises(DegenerateParameters):
         algebrize(billiards_field(1.0, 1.0, 1.0).quadratic_vf, box=box, step=step)
+
+
+# -- the commutator obstruction: skips only fields that nothing certifies --------
+
+CASES = ("A2_1", "A2_2", "A2_12")
+DEFAULT_GRID = np.arange(-10.0, 10.125, 0.25)  # algebrize's default box and step
+
+
+def unguarded_search(vf):
+    """algebrize's scan path with its defaults, without the obstruction in front."""
+    return quadratic._search(vf, CASES, DEFAULT_GRID, WITNESS_TOL, 60)
+
+
+def built_coefficients(case, params, phi, c1, c2):
+    """The 12 coefficients of c1 w + c2 w^2 in A(params), with w = Phi (x, y)."""
+    c = ALGEBRA_BUILDERS[case](params).constants
+    lin = np.zeros((2, 6))
+    lin[:, 1], lin[:, 2] = phi[:, 0], phi[:, 1]
+    quad = np.zeros((2, 2, 6))  # w_i w_j over the monomials 1, x, y, x^2, xy, y^2
+    quad[:, :, 3] = np.outer(phi[:, 0], phi[:, 0])
+    quad[:, :, 4] = np.outer(phi[:, 0], phi[:, 1]) + np.outer(phi[:, 1], phi[:, 0])
+    quad[:, :, 5] = np.outer(phi[:, 1], phi[:, 1])
+    square = np.einsum("ijm,ijk->km", quad, c)
+    return (np.einsum("i,jm,ijk->km", c1, lin, c)
+            + np.einsum("i,jm,ijk->km", c2, square, c)).reshape(-1)
+
+
+def as_field(coeffs):
+    return QuadraticVF(a=tuple(coeffs[:6]), b=tuple(coeffs[6:]))
+
+
+def linear_map(p):
+    """R(a) diag(s, sign t) R(b): |det| = s t >= 0.36 for s, t >= 0.6."""
+    a, s, t, sign, b = p
+    rot = [np.array([[np.cos(x), -np.sin(x)], [np.sin(x), np.cos(x)]]) for x in (a, b)]
+    return rot[0] @ np.diag([s, sign * t]) @ rot[1]
+
+
+unit = st.floats(-1.0, 1.0)
+# the basis element that is singular once the family's second parameter is 0
+SINGULAR_ELEMENT = {"A2_1": (0.0, 1.0), "A2_2": (1.0, 0.0), "A2_12": (1.0, 0.0)}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(case=st.sampled_from(CASES),
+       params=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       phi=st.tuples(st.floats(0.0, np.pi), st.floats(0.6, 2.0), st.floats(0.6, 2.0),
+                     st.sampled_from((1.0, -1.0)), st.floats(0.0, np.pi)).map(linear_map),
+       c1=st.tuples(unit, unit), c2=st.tuples(unit, unit),
+       mode=st.sampled_from(("plain", "ill", "flat")), mode_exp=st.floats(-6.0, -2.0),
+       angle=st.floats(0.0, np.pi), eps_exp=st.floats(-12.0, -1.0),
+       noise=st.lists(unit, min_size=12, max_size=12), scale_exp=st.floats(-10.0, 1.0))
+def test_obstruction_never_skips_a_field_the_search_certifies(
+        case, params, phi, c1, c2, mode, mode_exp, angle, eps_exp, noise, scale_exp):
+    """Whenever the scan would return a witness, the obstruction does not skip.
+
+    Checked in the equivalent form: whenever the obstruction skips, the scan
+    returns nothing.  Built fields c1 w + c2 w^2 are perturbed by a relative
+    eps and scaled.  In "ill" draws c2 sits near a singular element, so both
+    quadratic blocks are nearly singular; in "flat" draws the first component
+    is replaced by a function of one linear form, which a nearly singular
+    phi can nearly satisfy.
+    """
+    params = params if case != "A2_12" else ()
+    c2 = np.array(c2)
+    if mode == "ill":
+        if case != "A2_12":
+            params = (params[0], 0.0) if case == "A2_2" else (0.0, params[1])
+        c2 = np.array(SINGULAR_ELEMENT[case]) + 10.0 ** mode_exp * c2
+    coeffs = built_coefficients(case, params, phi, np.array(c1), c2)
+    if mode == "flat":
+        p = np.array([np.cos(angle), np.sin(angle)])
+        l1, l2 = c1
+        coeffs[1:6] = [l1 * p[0], l1 * p[1], l2 * p[0] ** 2, 2 * l2 * p[0] * p[1], l2 * p[1] ** 2]
+    coeffs = coeffs + 10.0 ** eps_exp * np.abs(coeffs).max() * np.array(noise)
+    vf = as_field(10.0 ** scale_exp * coeffs)
+    if vf.quadratic_norm > 1e-14 and quadratic._obstructed(vf, WITNESS_TOL):
+        assert unguarded_search(vf) == []
+
+
+def test_obstruction_skips_generic_fields_without_a_scan(monkeypatch):
+    rng = np.random.default_rng(11)
+    fields = [as_field(rng.uniform(-2.0, 2.0, 12)) for _ in range(5)]
+    assert all(unguarded_search(vf) == [] for vf in fields)
+
+    def no_scan(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(quadratic, "_search", no_scan)
+    assert all(algebrize(vf) == [] for vf in fields)
+
+
+def test_obstruction_leaves_a_single_ratio_to_the_search(rng):
+    # L0 = 0 makes the blocks dependent (one ratio only, which commutes with
+    # itself): billiards, and a quadratic part that no planar algebra fits
+    fields = [billiards_field(*abc).quadratic_vf for abc in ((1, 1, 1), (0.7, 1.3, 0.4))]
+    quad = rng.uniform(-2.0, 2.0, (2, 3))
+    fields.append(as_field(np.concatenate([[0, 0, 0], quad[0], [0, 0, 0], quad[1]])))
+    for vf in fields:
+        assert not quadratic._obstructed(vf, WITNESS_TOL)
+
+
+def test_obstruction_decides_singular_quadratic_blocks_only_when_they_are_independent():
+    # L1 = [[2, 0], [0, 0]] and L2 = 0 beside a generic linear part: the
+    # blocks are dependent, so the search decides
+    vf = QuadraticVF(a=(0.3, 1.2, -0.7, 1.0, 0.0, 0.0), b=(0.5, 0.4, 2.0, 0.0, 0.0, 0.0))
+    assert not quadratic._obstructed(vf, WITNESS_TOL)
+    assert [w.params for w in algebrize(vf)] == [w.params for w in unguarded_search(vf)]
+    # (x^2, y^2) has two singular blocks, diag(2, 0) and diag(0, 2); a linear
+    # part off the diagonal makes the three blocks independent
+    vf = QuadraticVF(a=(0.3, 1.2, -0.7, 1.0, 0.0, 0.0), b=(0.5, 0.4, 2.0, 0.0, 0.0, 1.0))
+    assert quadratic._obstructed(vf, WITNESS_TOL)
+    assert unguarded_search(vf) == []
+
+
+def test_obstruction_leaves_scalar_ratios_to_the_search(rng):
+    # L0 = 2 L1: the blocks are dependent, and whichever block is L_j, the
+    # two ratios are multiples of one matrix
+    a3, a4, a5, b3, b4, b5 = rng.uniform(-2.0, 2.0, 6)
+    vf = QuadraticVF(a=(0.1, 4 * a3, 2 * a4, a3, a4, a5), b=(-0.4, 4 * b3, 2 * b4, b3, b4, b5))
+    assert not quadratic._obstructed(vf, WITNESS_TOL)
+
+
+def test_obstruction_leaves_fields_near_a_singular_phi_to_the_search():
+    # The scan certifies both fields through a phi with condition number above
+    # 1e3, although their ratios L_i L_j^-1 are far from commuting.
+    # (y + 2e-4 xy, 2x + 1e-4 x^2 + y^2): the square of a nilpotent element
+    # in the dual numbers, moved by 1e-4; it certifies in A2_1(5e-5, 0)
+    dual = QuadraticVF(a=(0.0, 0.0, 1.0, 0.0, 2e-4, 0.0), b=(0.0, 2.0, 0.0, 1e-4, 0.0, 1.0))
+    # a generic field whose first component depends on y alone, moved by 1e-8
+    rng = np.random.default_rng(1)
+    coeffs = rng.uniform(-2.0, 2.0, 12)
+    coeffs[[1, 3, 4]] = 0.0
+    flat = as_field(coeffs + 1e-8 * rng.uniform(-1.0, 1.0, 12))
+    for vf in (dual, flat):
+        assert unguarded_search(vf)
+        assert not quadratic._obstructed(vf, WITNESS_TOL)
+
+
+def test_obstruction_leaves_tiny_fields_to_the_search():
+    # certification's residual is absolute below |Jf| |phi| ~ 1, so a tiny
+    # generic field can certify; the bound grows as the field shrinks
+    coeffs = np.random.default_rng(11).uniform(-2.0, 2.0, 12)
+    assert quadratic._obstructed(as_field(coeffs), WITNESS_TOL)
+    tiny = as_field(1e-9 * coeffs)
+    assert not quadratic._obstructed(tiny, WITNESS_TOL)
+    assert algebrize(tiny)
