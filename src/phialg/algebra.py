@@ -84,24 +84,26 @@ class Algebra:
         c = self.constants
         scale = max(1.0, float(np.max(np.abs(c)))) if c.size else 1.0
         comm = np.abs(c - np.swapaxes(c, 0, 1))
-        if comm.size and comm.max() > ASSOC_TOL * scale:
+        # "not dev <= tol" so that a nan defect (inf - inf) fails too
+        if comm.size and not comm.max() <= ASSOC_TOL * scale:
             i, j, k = np.unravel_index(np.argmax(comm), comm.shape)
             raise NotCommutative((int(i), int(j), int(k)), float(comm.max()))
         rep_unit = self.rep(self.unit)
         unit_dev = np.abs(rep_unit - np.eye(self.dim))
-        if unit_dev.max() > ASSOC_TOL * max(1.0, float(np.max(np.abs(self.unit)))):
+        if not unit_dev.max() <= ASSOC_TOL * max(1.0, float(np.max(np.abs(self.unit)))):
             k = int(np.argmax(unit_dev.sum(axis=0)))
             raise NoUnit(k, float(unit_dev.max()))
         dev, triple = self.associativity_defect()
-        if dev > ASSOC_TOL * scale * scale:
+        if not dev <= ASSOC_TOL * scale * scale:
             raise NotAssociative(triple, dev)
 
     def associativity_defect(self):
         """Worst deviation of (e_i e_j) e_k from e_i (e_j e_k) over basis triples."""
         c = self.constants
-        left = np.einsum("ijm,mkq->ijkq", c, c)
-        right = np.einsum("jkm,imq->ijkq", c, c)
-        diff = np.abs(left - right)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a nan defect
+            left = np.einsum("ijm,mkq->ijkq", c, c)
+            right = np.einsum("jkm,imq->ijkq", c, c)
+            diff = np.abs(left - right)
         if diff.size == 0:
             return 0.0, (0, 0, 0)
         flat = np.unravel_index(np.argmax(diff), diff.shape)

@@ -348,15 +348,20 @@ def heat_solution(hp, check_points=None):
     Nonzero determinant: the closed-form exponent vector.  Zero determinant:
     least-squares solve of the exponent system, declared consistent when its
     residual is at most 1e-10 (DeltaZeroInconsistent otherwise).  b1 = 0 has
-    no amplitude normalization and raises B1Zero.
+    no amplitude normalization and raises B1Zero.  Parameters so large that
+    the determinant overflows raise DegenerateParameters.
     """
     p = tuple(float(x) for x in hp.p)
     if len(p) != 6:
         raise ValueError("expected six parameters p1..p6")
-    delta = heat_delta(hp.alpha, p)
     matrix = heat_system_matrix(hp.alpha, p)
+    try:  # a float power that overflows raises instead of giving inf
+        delta = heat_delta(hp.alpha, p)
+        scale = max(1.0, float(np.abs(matrix).max())) ** 4
+    except OverflowError:
+        raise DegenerateParameters(
+            "heat parameters too large: the exponent system's determinant overflows") from None
     rhs = np.array([1.0, 0.0, 0.0, 0.0])
-    scale = max(1.0, float(np.abs(matrix).max())) ** 4
     if abs(delta) > 1e-12 * scale:
         b = heat_b_closed_form(hp.alpha, p)
         branch = "delta_nonzero"

@@ -13,13 +13,22 @@ pencil rows; and it certifies every candidate by evaluating the resulting
 Cauchy-Riemann residual on a grid, rejecting it at the first point above
 tolerance or not finite.  A returned witness is always self-certifying.
 
-Before the search, a closed-form obstruction reads the three 2x2 blocks of
-Jf = L0 + x L1 + y L2: an algebrizable field has them in the two-dimensional
-space rep(A) Phi, so its ratios L_i L_j^-1 commute.  When the blocks are
-independent by a margin that no certifiable field reaches, there is no
-linear phi and no planar algebra, and the answer is [] without a scan.  So
-an empty answer is either that certificate, or the search finding nothing
-in the box when the obstruction could not decide (see ``_obstructed``).
+Before the search, the rank of the three 2x2 blocks of Jf = L0 + x L1 + y L2
+decides how much of it runs.  An algebrizable field has its blocks in the
+two-dimensional space rep(A) Phi, so a quadratic field has one of three
+outcomes:
+
+* blocks independent by a margin that no certifiable field reaches: there is
+  no linear phi and no planar algebra, and the answer is [] without a search,
+  a certificate (``_obstructed``);
+* blocks of clean rank two with an invertible block: rep(A) is fixed by the
+  blocks, each family fits at most one parameter point, and that point is
+  the closed form of ``_pencil_seeds``; only the null-vector and seed stages
+  run, with no grid (``_clean_rank_two``);
+* anything else (rank-one "flat" blocks, which a whole family of algebras
+  can fit, fields the obstruction cannot decide, blocks that are all
+  singular): the box search, where [] only means nothing was found in the
+  box.
 """
 
 from __future__ import annotations
@@ -47,6 +56,12 @@ OBSTRUCTION_MARGIN = 1e4
 # them; the entries are a few times the largest coefficient, so coefficients
 # below this leave room for those products to stay finite.
 COEFF_LIMIT = float(np.finfo(float).max) ** 0.25 / 1e3
+# the relative size below which the third singular value of the blocks counts
+# as zero and above which the second counts as nonzero (see _clean_rank_two)
+RANK_RTOL = 1e-12
+# the most parameter-grid cells a search may ask for: 512^2 cells of 6x4
+# float64 matrices are about 50 MB
+MAX_GRID_CELLS = 512 ** 2
 
 
 @dataclass(frozen=True)
@@ -309,7 +324,7 @@ def _jacobian_blocks(vf):
     ])
 
 
-def _obstructed(vf, tol):
+def _obstructed(vf, tol, svd=None):
     """True when the blocks of Jf rule out every linear phi and planar algebra.
 
     With Jf = L0 + x L1 + y L2: if vf is differentiable relative to a linear
@@ -337,14 +352,49 @@ def _obstructed(vf, tol):
     order one; OBSTRUCTION_MARGIN stands in for c.  L0 = 0, blocks that are
     multiples of one another, nearly rank-one complements and tiny fields
     give a small omega or a large bound, and are left to the search.
+    svd is B's (singular values, right singular vectors) when the caller
+    has them already.
     """
     blocks = _jacobian_blocks(vf)
+    svals, vt = svd if svd is not None else np.linalg.svd(blocks.reshape(3, 4))[1:]
     x, y = np.array(_VERIFY_GRID).T[:, :, None, None]
     scale = float(np.linalg.norm(blocks[0] + x * blocks[1] + y * blocks[2], axis=(1, 2)).max())
-    _, svals, vt = np.linalg.svd(blocks.reshape(3, 4))
     k_min = np.linalg.svd(vt[3].reshape(2, 2), compute_uv=False)[1]
     omega = float(svals[2] * k_min) / scale
     return omega > OBSTRUCTION_MARGIN * tol * (1.0 + 1.0 / (2.0 * scale))
+
+
+def _invertible(block):
+    """The invertibility test of the closed-form stage: |det| against the block's scale."""
+    return not abs(np.linalg.det(block)) < 1e-9 * max(1.0, float(np.abs(block).max()) ** 2)
+
+
+def _clean_rank_two(blocks, svals):
+    """True when the blocks span two dimensions and hold an invertible block.
+
+    The lemma (tests/test_proofs.py): a witness (Phi, A) puts every block in
+    the two-dimensional space rep(A) Phi, so when the blocks span two
+    dimensions, span(blocks) V = rep(A) with V = Phi^-1.  If the span holds
+    an invertible L*, then rep(A) = span(I, N) with N = L_i L*^-1 for any
+    block L_i independent of L*, because rep(A) is closed under products and
+    inverses.  So rep(A) is read off the field, each planar family meets it
+    in at most one parameter point (A2_1 when N10 != 0, A2_2 when
+    N01 != 0, A2_12 when N is diagonal), and those points are the closed
+    forms of ``_pencil_seeds``, whose refinement and certification need no
+    grid.  V is then free only up to an invertible element of rep(A), the
+    two-dimensional null space of ``_null_candidates``.
+
+    The rank is read from the singular values of B, the 3x4 matrix of the
+    flattened blocks: sigma3 <= RANK_RTOL sigma1 < sigma2.  Fields built in
+    a planar family have sigma3 / sigma1 at rounding level (below 2e-16 on
+    the benchmark decks, whose algebrizable fields have sigma2 / sigma1 of
+    8e-3 or more), while generic fields sit at 3e-2 or more; 1e-12 leaves
+    four orders of magnitude on either side.  A field between RANK_RTOL and
+    the obstruction's margin, a rank-one field and a field whose blocks are
+    all singular keep the grid search.
+    """
+    return (svals[2] <= RANK_RTOL * svals[0] < svals[1]
+            and any(_invertible(block) for block in blocks))
 
 
 def _pencil_seeds(vf):
@@ -362,7 +412,7 @@ def _pencil_seeds(vf):
             if i == j:
                 continue
             den = mats[j]
-            if abs(np.linalg.det(den)) < 1e-9 * max(1.0, float(np.abs(den).max()) ** 2):
+            if not _invertible(den):
                 continue
             p = mats[i] @ np.linalg.inv(den)
             if abs(p[1, 0]) > 1e-9:
@@ -395,34 +445,55 @@ def algebrize(vf, cases=(CASE_A2_1, CASE_A2_2, CASE_A2_12), box=(-10.0, 10.0),
     """Search for witnesses that vf is differentiable relative to a linear map.
 
     A field without a quadratic part is tried against its linear part.  A
-    quadratic field first meets the commutator obstruction (``_obstructed``):
-    when it clears its margin, the empty list returned is a certificate that
-    no linear phi and no planar algebra fit vf.  Otherwise the search runs.
-    Parameter-free case: the stacked matrix directly.  Parametric cases: scan
-    the box for small least-singular-values of M4, then alternate
-    null-vector / parameter refinement from each local minimum.  Witnesses
-    are deduplicated on parameters and kept only when the grid residual is at
-    most ``tol``; an empty list from the search means no witness was found in
-    the box, not a proof of impossibility.  The box needs finite bounds
-    lo < hi and the step must be finite and positive; otherwise
-    DegenerateParameters is raised.
+    quadratic field has one of three outcomes, decided by the blocks of its
+    Jacobian (see the module docstring):
+
+    * the commutator obstruction (``_obstructed``) clears its margin: the
+      empty list returned is a certificate that no linear phi and no planar
+      algebra fit vf;
+    * the blocks have clean rank two (``_clean_rank_two``): the closed-form
+      answer, the A2_12 null vectors and the refined closed-form parameters
+      of ``_pencil_seeds``, certified, with no grid scan;
+    * otherwise the box search: the A2_12 null vectors, then for each
+      parametric case a scan of the box for small least-singular-values of
+      M4 and alternating null-vector / parameter refinement from the closed
+      forms and from each local minimum.  An empty list from the search
+      means no witness was found in the box, not a proof of impossibility.
+
+    Witnesses are deduplicated on parameters and kept only when the grid
+    residual is at most ``tol``.  The box needs finite bounds lo < hi, the
+    step must be finite and positive, and the grid may hold at most
+    ``MAX_GRID_CELLS`` cells; otherwise DegenerateParameters is raised
+    before anything is allocated.
     """
     lo, hi = box
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DegenerateParameters(f"search box needs finite bounds lo < hi, got {lo}, {hi}")
     if not (math.isfinite(step) and step > 0):
         raise DegenerateParameters(f"search step must be finite and positive, got {step}")
+    per_axis = (hi - lo) / step + 1.0  # within one of len(np.arange(...)) below
+    if not per_axis * per_axis <= MAX_GRID_CELLS:
+        raise DegenerateParameters(
+            f"search grid of about {per_axis:.3g}^2 cells exceeds MAX_GRID_CELLS = "
+            f"{MAX_GRID_CELLS}; use a larger step or a smaller box")
 
     if vf.quadratic_norm <= 1e-14:
         w = _linear_witness(vf, tol)
         return [w] if w is not None else []
-    if _obstructed(vf, tol):
+    blocks = _jacobian_blocks(vf)
+    _, svals, vt = np.linalg.svd(blocks.reshape(3, 4))
+    if _obstructed(vf, tol, (svals, vt)):
         return []
-    return _search(vf, cases, np.arange(lo, hi + step / 2.0, step), tol, refine_iters)
+    grid = None if _clean_rank_two(blocks, svals) else np.arange(lo, hi + step / 2.0, step)
+    return _search(vf, cases, grid, tol, refine_iters)
 
 
 def _search(vf, cases, grid, tol, refine_iters):
-    """The witnesses of a quadratic field: the A2_12 null vectors, then the grid scan."""
+    """The witnesses of a quadratic field, stage by stage.
+
+    The A2_12 null vectors, then per parametric case the closed-form seeds
+    and, unless grid is None, the local minima of the grid scan.
+    """
     witnesses = []
     include_linear = vf.linear_norm > 1e-12
 
@@ -437,14 +508,15 @@ def _search(vf, cases, grid, tol, refine_iters):
     for case in (CASE_A2_1, CASE_A2_2):
         if case not in cases:
             continue
-        s_last, s_second = _grid_singular_values(vf, case, grid, include_linear)
-        groups = [
-            ([params for c, params in pencil_seeds if c == case], True, 5),
-            ([(grid[i], grid[j]) for i, j in _local_minima(s_second, count=20)],
-             True, refine_iters),
-            ([(grid[i], grid[j]) for i, j in _local_minima(s_last, count=20)],
-             False, refine_iters),
-        ]
+        groups = [([params for c, params in pencil_seeds if c == case], True, 5)]
+        if grid is not None:
+            s_last, s_second = _grid_singular_values(vf, case, grid, include_linear)
+            groups += [
+                ([(grid[i], grid[j]) for i, j in _local_minima(s_second, count=20)],
+                 True, refine_iters),
+                ([(grid[i], grid[j]) for i, j in _local_minima(s_last, count=20)],
+                 False, refine_iters),
+            ]
         found = []
         for starts, pair_mode, iters in groups:
             for params in _alternate_refine(vf, case, starts, include_linear, iters, pair_mode):
@@ -554,8 +626,13 @@ def billiards_parameters(a, b, c):
     """The closed-form (alpha, beta) and null vector for the billiards field."""
     if abs(a + c) < 1e-12:
         raise DegenerateParameters("a + c = 0")
-    alpha = -((b + c) ** 2) / ((a + c) ** 2)
-    beta = -2.0 * (b + c) / (a + c) + 4.0 * a * b / ((a + c) ** 2)
+    try:
+        alpha = -((b + c) ** 2) / ((a + c) ** 2)
+        beta = -2.0 * (b + c) / (a + c) + 4.0 * a * b / ((a + c) ** 2)
+    except OverflowError:
+        alpha = beta = math.inf
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise DegenerateParameters(f"alpha, beta overflow for a, b, c = {a}, {b}, {c}")
     v = np.array([1.0, -(b + c) / (a + c), 0.0, -2.0 * b / (a + c)])
     return alpha, beta, v
 

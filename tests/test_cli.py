@@ -2,6 +2,7 @@ import io
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,28 @@ def test_integrate_segment_count_below_one_is_input_error(capsys, n):
 def test_algebrize_huge_coefficients_are_input_error(capsys, scale):
     vf = ",".join(str(x) for x in (0, 0, 0, scale, -2 * scale, 0, 0, 0, 0, 0, -2 * scale, scale))
     _assert_one_error_line(*run_cli(capsys, "--json", "algebrize", "--vf", vf))
+
+
+@pytest.mark.parametrize("argv", [
+    ["pde", "heat", "--alpha", "1e200", "--p", "1,0,0,0,0,1"],
+    ["billiards", "--params", "1e300,1,1"],
+    ["algebra", "build", "--family", "A2_1", "--params", "1e300,1e300"],
+])
+def test_huge_finite_input_fails_closed(capsys, argv):
+    _assert_one_error_line(*run_cli(capsys, "--json", *argv))
+
+
+def test_algebrize_oversized_grid_is_input_error_before_allocation(capsys):
+    # a 40001^2 grid would take about 12 GiB; the cap refuses it up front
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, "--json", "algebrize", "--vf", BILLIARDS_VF, "--step", "0.0005")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_one_error_line(*result)
+    assert "MAX_GRID_CELLS" in result[2]
+    assert peak < 2**22
 
 
 def test_integrate_with_algebra_file_and_poly_function(tmp_path, capsys):

@@ -19,6 +19,17 @@ two-dimensional space rep(A) Phi, each ratio L_i L_j^-1 equals
 rep(g_i) rep(g_j)^-1, and the ratios commute with one another; by the last
 point, commuting ratios and linearly dependent blocks are the same
 condition.
+
+For the rank-two decision of algebrize (quadratic._clean_rank_two):
+
+* for blocks L = rep(z) Phi and an invertible L* = rep(z*) Phi, the ratio
+  L_i L*^-1 is s I + t G with G the non-unit generator and t a non-zero
+  multiple of det(Phi) (z_i ^ z*), so it is non-scalar exactly when L_i and
+  L* are independent, and then rep(A) = span(I, L_i L*^-1) is read off the
+  blocks alone;
+* the closed forms of quadratic._pencil_seeds read the parameters back off
+  that ratio: (N01 / N10, (N11 - N00) / N10) for A2_1 and
+  ((N00 - N11) / N01, N10 / N01) for A2_2.
 """
 
 import itertools
@@ -137,3 +148,41 @@ def test_the_commutant_of_a_non_scalar_matrix_is_the_span_of_it_and_the_identity
     assert all(sp.expand(d) == 0 for d in minors[1])
     nonscalar = (x[0] - x[3]) ** 2 + 2 * x[1] ** 2 + 2 * x[2] ** 2
     assert sp.expand(sum(d ** 2 for d in minors[0]) - nonscalar ** 2) == 0
+
+
+def block_ratio(c, phi, z, w):
+    """L_i adj(L*) for L_i = rep(z) Phi and L* = rep(w) Phi: det(L*) L_i L*^-1."""
+    return (rep(c, z) * phi) * (rep(c, w) * phi).adjugate()
+
+
+def generator(c, g):
+    return rep(c, [sp.S.One if i == g else sp.S.Zero for i in range(2)])
+
+
+def test_two_independent_blocks_fix_rep_as_the_span_of_the_identity_and_their_ratio():
+    phi = sp.Matrix(2, 2, sp.symbols("p00 p01 p10 p11", real=True))
+    z, w = element("z"), element("w")
+    s, t = sp.symbols("s t")
+    for case in CASES:
+        c, _, g = constants(case)
+        n = block_ratio(c, phi, z, w)
+        solution = sp.solve(list(n - s * sp.eye(2) - t * generator(c, g)), [s, t], dict=True)
+        assert len(solution) == 1, case
+        # t = +-det(Phi) (z0 w1 - z1 w0): non-zero for an invertible Phi and
+        # independent z, w, which is when the blocks are independent
+        cross = phi.det() * (z[0] * w[1] - z[1] * w[0])
+        assert sp.expand(solution[0][t] ** 2 - cross ** 2) == 0, case
+
+
+def test_pencil_seed_closed_forms_return_the_family_parameters():
+    phi = sp.Matrix(2, 2, sp.symbols("p00 p01 p10 p11", real=True))
+    z, w = element("z"), element("w")
+    n = block_ratio(constants("A2_1")[0], phi, z, w)
+    assert sp.cancel(n[0, 1] / n[1, 0] - alpha) == 0
+    assert sp.cancel((n[1, 1] - n[0, 0]) / n[1, 0] - beta) == 0
+    n = block_ratio(constants("A2_2")[0], phi, z, w)
+    assert sp.cancel((n[0, 0] - n[1, 1]) / n[0, 1] - gamma) == 0
+    assert sp.cancel(n[1, 0] / n[0, 1] - delta) == 0
+    # A2_12: the ratio is diagonal, so neither closed form applies
+    n = block_ratio(constants("A2_12")[0], phi, z, w)
+    assert sp.expand(n[0, 1]) == 0 and sp.expand(n[1, 0]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from phialg import quadratic
 from phialg.algebra import algebra_a2_1, algebra_a2_12, algebra_a2_2
@@ -311,6 +311,17 @@ def test_algebrize_rejects_bad_box_or_step(box, step):
         algebrize(billiards_field(1.0, 1.0, 1.0).quadratic_vf, box=box, step=step)
 
 
+def test_algebrize_caps_the_grid_before_building_it():
+    # a linear field never builds the grid, so only the cap can reject it
+    linear = QuadraticVF(a=(0.5, 1.0, 2.0, 0.0, 0.0, 0.0), b=(-0.3, 3.0, 4.0, 0.0, 0.0, 0.0))
+    assert algebrize(linear, step=20.0 / 511)  # 512 points a side
+    for step in (20.0 / 512, 0.0005, 1e-300):
+        with pytest.raises(DegenerateParameters, match="MAX_GRID_CELLS"):
+            algebrize(linear, step=step)
+    with pytest.raises(DegenerateParameters, match="MAX_GRID_CELLS"):
+        algebrize(linear, box=(-1e308, 1e308))
+
+
 # -- the commutator obstruction: skips only fields that nothing certifies --------
 
 CASES = ("A2_1", "A2_2", "A2_12")
@@ -456,3 +467,118 @@ def test_obstruction_leaves_tiny_fields_to_the_search():
     tiny = as_field(1e-9 * coeffs)
     assert not quadratic._obstructed(tiny, WITNESS_TOL)
     assert algebrize(tiny)
+
+
+# -- the rank-two decision: the closed form, with no grid ------------------------
+
+
+def witness_key(w):
+    """Everything a witness prints, to the last bit."""
+    return (w.case, np.asarray(w.params, dtype=float).tobytes(), w.v.tobytes(),
+            np.asarray(w.phi.matrix).tobytes(), w.residual.hex(), float(w.det_m4).hex())
+
+
+def is_subsequence(short, long):
+    rest = iter(long)
+    return all(any(key == other for other in rest) for key in short)
+
+
+def clean_rank_two(vf):
+    blocks = quadratic._jacobian_blocks(vf)
+    return quadratic._clean_rank_two(blocks, np.linalg.svd(blocks.reshape(3, 4),
+                                                            compute_uv=False))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(case=st.sampled_from(CASES),
+       params=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       phi=st.tuples(st.floats(0.0, np.pi), st.floats(0.6, 2.0), st.floats(0.6, 2.0),
+                     st.sampled_from((1.0, -1.0)), st.floats(0.0, np.pi)).map(linear_map),
+       c1=st.tuples(unit, unit), c2=st.tuples(unit, unit))
+def test_rank_two_answer_keeps_every_exact_witness_of_the_search(case, params, phi, c1, c2):
+    """On a built field of clean rank two, algebrize drops grid witnesses only.
+
+    Its list is a subsequence of the unguarded search's, and every witness of
+    that search with a residual at rounding level is in it, bit for bit.
+    """
+    vf = as_field(built_coefficients(case, params if case != "A2_12" else (), phi,
+                                     np.array(c1), np.array(c2)))
+    assume(vf.quadratic_norm > 1e-14 and clean_rank_two(vf))
+    fast = [witness_key(w) for w in algebrize(vf)]
+    full = unguarded_search(vf)
+    assert is_subsequence(fast, [witness_key(w) for w in full])
+    assert all(witness_key(w) in fast for w in full if w.residual <= 1e-12)
+
+
+def test_rank_two_fields_skip_the_grid_and_others_keep_it(monkeypatch):
+    built = [as_field(built_coefficients(case, params, linear_map((0.3, 1.2, 0.8, 1.0, 1.1)),
+                                         np.array([0.4, -0.7]), np.array([0.9, 0.5])))
+             for case, params in (("A2_1", (0.5, -1.5)), ("A2_2", (-0.75, 1.5)), ("A2_12", ()))]
+    # rank one: (1, 2) (s + s^2) with s = x + y, which a whole family of
+    # algebras fits, so only the scan finds its witnesses
+    flat = QuadraticVF(a=(0.0, 1.0, 1.0, 1.0, 2.0, 1.0), b=(0.0, 2.0, 2.0, 2.0, 4.0, 2.0))
+    # (x^2, y^2): rank two, but every block is singular
+    singular = QuadraticVF(a=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0), b=(0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
+    assert all(clean_rank_two(vf) for vf in built)
+    assert not clean_rank_two(flat) and not clean_rank_two(singular)
+    assert len(algebrize(flat)) > 2
+
+    def no_scan(*args):
+        raise AssertionError("the grid scan ran")
+
+    monkeypatch.setattr(quadratic, "_grid_singular_values", no_scan)
+    assert all(algebrize(vf) for vf in built)
+    for vf in (flat, singular):
+        with pytest.raises(AssertionError, match="grid scan"):
+            algebrize(vf)
+
+
+def built_fields(case, count, seed):
+    """Fields c1 w + c2 w^2 built in random members of one family, c2 regular."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    while len(fields) < count:
+        params = tuple(rng.uniform(-3.0, 3.0, 2)) if case != "A2_12" else ()
+        c1, c2 = rng.uniform(-1.0, 1.0, (2, 2))
+        if abs(np.linalg.det(ALGEBRA_BUILDERS[case](params).rep(c2))) < 0.05:
+            continue
+        phi = linear_map((rng.uniform(0.0, np.pi), *rng.uniform(0.6, 2.0, 2),
+                          rng.choice((1.0, -1.0)), rng.uniform(0.0, np.pi)))
+        fields.append(as_field(built_coefficients(case, params, phi, c1, c2)))
+    return fields
+
+
+@pytest.mark.parametrize("case", [
+    "A2_1",
+    pytest.param("A2_2", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP.md open item 1: the A2_2 pencil writes gamma with the "
+                            "wrong sign, so that stage certifies no witness with gamma != 0")),
+    "A2_12",
+])
+def test_a_field_built_in_a_family_has_a_witness_in_that_family(case):
+    for vf in built_fields(case, 6, seed=5):
+        assert algebrize(vf, cases=(case,)), case
+
+
+@pytest.mark.parametrize("coeffs", [
+    # seed-40 search deck, job search-0010 (built in A2_1)
+    (0.0, -0.9213621163740725, -1.0295290360741374, -0.6640004221843321,
+     -1.5092932264936656, -0.863351550579615, 0.0, -2.6010798756862767,
+     -2.5874432801311493, -1.4512291237135755, -2.9195747153568, -1.4777472320839409),
+    # seed-81 search deck, job search-0011 (built in A2_2)
+    (0.0, 0.5541131781679849, -0.5094332775471837, 1.0553971583880468,
+     -2.001998304590258, 1.0847054672766407, 0.0, 0.243952467328771,
+     -0.11458049061046496, 0.4070361170390858, -0.26434718983930244, -0.2539107059839335),
+])
+def test_witnesses_of_built_fields_hold_outside_the_verify_grid(coeffs):
+    # the grid scan certifies approximate A2_1 witnesses on these fields that
+    # pass on [-1, 1]^2 and fail further out, with residuals above 1e-8
+    # along lines through these points; their clean rank two skips the scan
+    vf = as_field(np.array(coeffs))
+    witnesses = algebrize(vf)
+    assert witnesses
+    fmap = vf.as_map()
+    points = [(-3.0, -3.0), (-3.0, 3.0), (3.0, -3.0), (3.0, 3.0),
+              (-2.0, -2.0), (2.0, 2.0), (1.0, -2.0), (2.0, -3.0)]
+    for w in witnesses:
+        assert max(cre_residual(fmap, w.phi, w.algebra, np.array(u)) for u in points) <= 1e-8
