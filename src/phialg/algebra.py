@@ -13,7 +13,6 @@ bits of the single-element call.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     AssociativityViolation,
@@ -171,7 +170,12 @@ class Algebra:
 
         rep is an injective homomorphism, so expm(rep(a)) = rep(exp a) and the
         coefficients of exp(a) are recovered exactly by applying it to the unit.
+        scipy is imported here, on the first call, rather than with the
+        package: it is most of the cost of ``import phialg`` and nothing else
+        uses it.
         """
+        from scipy.linalg import expm
+
         return expm(self.rep(a)) @ self.unit
 
     def random_element(self, rng, scale=1.0):

@@ -9,6 +9,7 @@ for fixed argv and seed (timing is reported only in the human-readable form).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,6 +39,9 @@ from .pdes import (
 from .quadratic import QuadraticVF, algebrize, verify_billiards_algebrization
 
 PASS, FAIL, USAGE = 0, 1, 2
+# the largest count of `ode solve --grid lo,hi,count`: count^2 sample points,
+# each about 0.5 ms and 170 bytes of JSON
+MAX_GRID_COUNT = 100
 
 
 def _finite(value, label="number"):
@@ -48,6 +52,19 @@ def _finite(value, label="number"):
 
 def _floats(text):
     return [_finite(float(x)) for x in text.split(",") if x != ""]
+
+
+def _ode_grid(text):
+    """lo, hi and count of ``ode solve --grid``; count is an integer from 1 to
+    MAX_GRID_COUNT."""
+    values = _floats(text)
+    if len(values) != 3:
+        raise ValueError(f"--grid takes lo,hi,count, got {text!r}")
+    lo, hi, count = values
+    if not (count == int(count) and 1 <= count <= MAX_GRID_COUNT):
+        raise ValueError(f"--grid count must be an integer from 1 to MAX_GRID_COUNT = "
+                         f"{MAX_GRID_COUNT}, got {count:g}")
+    return lo, hi, int(count)
 
 
 def _open_named(path, mode="r"):
@@ -244,6 +261,9 @@ def cmd_integrate(args):
     path = _parse_loop(args.loop)
     f = _catalog_function(args.f, phi, alg)
     if path.closed:
+        if args.N < 8:
+            raise ValueError(f"--N must be at least 8 for a closed loop, whose ladder is "
+                             f"N/8, N/4, N/2, N; got {args.N}")
         report = closed_loop_check(f, phi, alg, path,
                                    ladder=(args.N // 8, args.N // 4, args.N // 2, args.N))
         ok = report.final_magnitude <= args.tol
@@ -264,8 +284,8 @@ def cmd_ode(args):
     alg = _load_algebra(args.algebra)
     phi = build_phi(args.phi)
     C = np.array(_floats(args.C)) if args.C else alg.unit.copy()
-    lo, hi, count = (_floats(args.grid) if args.grid else (0.1, 0.6, 3))
-    axis = np.linspace(lo, hi, int(count))
+    lo, hi, count = _ode_grid(args.grid) if args.grid else (0.1, 0.6, 3)
+    axis = np.linspace(lo, hi, count)
     grid = [np.array([x, y]) for x in axis for y in axis]
     zero, unit = alg.zero(), alg.unit
     if args.family == "square":
@@ -455,9 +475,20 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``phialg`` command line; returns the exit code.
+
+    The parser is built once per process and reused by every call: each
+    ``parse_args`` returns a fresh namespace, so calls share nothing through
+    it.  Handlers may therefore read their ``args`` but must never mutate the
+    parser or its defaults (``set_defaults``, ``add_argument``).
+    """
+    args = _parser().parse_args(argv)
     try:
         for name, value in vars(args).items():
             if isinstance(value, float):

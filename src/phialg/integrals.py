@@ -25,6 +25,10 @@ from .maps import SmoothMap, fd_partial, fd_step
 
 CLOSED_TOL = 1e-12
 FLOOR = 1e-13
+# the most Simpson segments one integral may ask for; an integral over a
+# 2-dimensional algebra peaks at 20-35 MiB there, far past where the
+# quadrature stops improving
+MAX_SEGMENTS = 2**18
 
 
 class Path:
@@ -32,10 +36,11 @@ class Path:
 
     ``derivative`` is used when supplied; otherwise the velocity comes from
     central differences (``maps.fd_partial``).  ``segments`` is the default
-    Simpson subdivision count, at least 1.  A path flagged closed must satisfy
-    |gamma(0) - gamma(t1)| <= 1e-12.  ``broadcasts`` declares that ``gamma``
-    and ``derivative`` also take a 1-D array of parameters and return one row
-    per parameter, bit for bit what they return one parameter at a time.
+    Simpson subdivision count, from 1 to ``MAX_SEGMENTS``.  A path flagged
+    closed must satisfy |gamma(0) - gamma(t1)| <= 1e-12.  ``broadcasts``
+    declares that ``gamma`` and ``derivative`` also take a 1-D array of
+    parameters and return one row per parameter, bit for bit what they return
+    one parameter at a time.
     """
 
     def __init__(self, gamma, t1, derivative=None, segments=256, closed=False,
@@ -99,9 +104,13 @@ class Path:
 
 
 def _segment_count(segments):
+    """A requested subdivision count, checked before anything is allocated for it."""
     n = int(segments)
     if n < 1:
         raise DegenerateParameters(f"a path needs at least 1 segment, got {segments}")
+    if n > MAX_SEGMENTS:
+        raise DegenerateParameters(
+            f"a path takes at most MAX_SEGMENTS = {MAX_SEGMENTS} segments, got {segments}")
     return n
 
 
@@ -156,6 +165,7 @@ def _ladder_values(f, phi, algebra, path, ladder):
     so a failing node raises at the first level that has it, with the error
     of that level evaluated on its own.
     """
+    _segment_count(max(ladder, default=1))  # the finest level is checked before any is evaluated
     done = {}
     for segments in ladder:
         n = _simpson_count(segments)

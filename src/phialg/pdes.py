@@ -43,27 +43,46 @@ def pde_residual(terms, fields, points, h=None):
     to the tuple of dependent values (or a scalar for single-component
     problems).  Each point's residual is normalized by the largest term
     magnitude so the number is scale free; a non-finite point residual makes
-    the result non-finite.
+    the result non-finite.  ``fields`` is called once per distinct stencil
+    point, however many terms and components read it; the result is bit for
+    bit that of calling it afresh for every term.
     """
+    return _equation_residuals([terms], fields, points, h)[0]
+
+
+def _equation_residuals(equations, fields, points, h=None):
+    """``pde_residual`` of each term list, all from one evaluation of ``fields``
+    per distinct stencil point.
+
+    At each point, the values of ``fields`` are kept by the exact bytes of
+    the stencil point that ``fd_partial`` asks for, so the equations and the
+    components share them; a point that differs in any bit is evaluated anew.
+    """
+    memo = {}
+
+    def values(p):
+        key = p.tobytes()
+        if key not in memo:
+            memo[key] = np.atleast_1d(fields(p))
+        return memo[key]
 
     def component(comp):
-        def func(pt):
-            val = fields(pt)
-            return float(np.atleast_1d(val)[comp])
+        return lambda p: float(values(p)[comp])
 
-        return func
-
-    second_order = any(sum(orders) >= 2 for _, _, orders in terms)
-    base = SECOND_ORDER_STEP if second_order else FIRST_ORDER_STEP
-    residuals = []
+    out = []
+    for terms in equations:
+        second_order = any(sum(orders) >= 2 for _, _, orders in terms)
+        base = SECOND_ORDER_STEP if second_order else FIRST_ORDER_STEP
+        out.append((base, [(coeff, component(comp), orders) for coeff, comp, orders in terms], []))
     for pt in points:
         pt = np.asarray(pt, dtype=float)
-        step = h if h is not None else fd_step(pt, base)
-        vals = [coeff * fd_partial(component(comp), pt, orders, step)
-                for coeff, comp, orders in terms]
-        scale = max(1.0, max(abs(v) for v in vals))
-        residuals.append(abs(sum(vals)) / scale)
-    return worst_of(residuals)
+        memo.clear()
+        for base, funcs, residuals in out:
+            step = h if h is not None else fd_step(pt, base)
+            vals = [coeff * fd_partial(func, pt, orders, step) for coeff, func, orders in funcs]
+            scale = max(1.0, max(abs(v) for v in vals))
+            residuals.append(abs(sum(vals)) / scale)
+    return [worst_of(residuals) for _, _, residuals in out]
 
 
 # -- first order: a u_x + b v_x - c u_y - d v_y = 0 ----------------------------
@@ -129,9 +148,9 @@ class System451Solution:
         # a1 y_x + y_t + b1 y - b1 z = 0 ; -a2 z_x + z_t - b2 y + b2 z = 0
         terms_1 = [(a1, 0, (1, 0)), (1.0, 0, (0, 1)), (b1, 0, (0, 0)), (-b1, 1, (0, 0))]
         terms_2 = [(-a2, 1, (1, 0)), (1.0, 1, (0, 1)), (-b2, 0, (0, 0)), (b2, 1, (0, 0))]
-        r1 = pde_residual(terms_1, self.fields, points)
-        r2 = pde_residual(terms_2, self.fields, points)
-        return max(r1, r2)
+        # one memo for both equations, which read the same five stencil points;
+        # worst_of keeps a nan of either equation
+        return worst_of(_equation_residuals([terms_1, terms_2], self.fields, points))
 
 
 def system_451_solutions(a1, a2, b1, b2, family, c1, c2):

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -236,3 +242,25 @@ def test_serialization_roundtrip_real_and_complex():
     u = np.array([0.3 + 1j, -0.7 + 0.2j])
     v = np.array([1.1 - 0.4j, 0.6 + 0.9j])
     npt.assert_allclose(back.product(u, v), c.product(u, v))
+
+
+def test_scipy_is_imported_on_the_first_exp_and_not_before():
+    script = (
+        "import json, sys\n"
+        "import phialg\n"
+        "before = 'scipy' in sys.modules\n"
+        "value = phialg.algebra_a2_1(0.3, -0.2).exp([0.5, 1.25])\n"
+        "print(json.dumps([before, 'scipy' in sys.modules, [float.hex(x) for x in value]]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    before, after, value = json.loads(proc.stdout)
+    assert (before, after) == (False, True)
+    from scipy.linalg import expm
+
+    alg = algebra_a2_1(0.3, -0.2)
+    expected = expm(alg.rep(np.array([0.5, 1.25]))) @ alg.unit
+    assert value == [float.hex(x) for x in expected]

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from phialg.algebra import algebra_a3_1
-from phialg.cli import main
+from phialg.cli import MAX_GRID_COUNT, main
+from phialg.integrals import MAX_SEGMENTS
 
 
 DATA = Path(__file__).parent / "data"
@@ -209,6 +210,27 @@ def test_every_subcommand_json_is_byte_identical_to_golden(capsys):
         assert out == case["stdout"], case["argv"]
 
 
+def test_reused_parser_leaks_no_state_between_calls(capsys):
+    # main builds its parser once per process; every golden argv, an argparse
+    # usage error and a PhialgError, then every golden argv again in reverse
+    # order, must each print exactly what a fresh process prints
+    cases = json.loads(CLI_GOLDEN.read_text())
+
+    def check(case):
+        argv = [arg.replace("{data}", str(DATA)) for arg in case["argv"]]
+        assert run_cli(capsys, *argv) == (case["exit"], case["stdout"], ""), case["argv"]
+
+    for case in cases:
+        check(case)
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "pde", "heat", "--alpha"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    _assert_one_error_line(*run_cli(capsys, "--json", "billiards", "--params", "1,0,1"))
+    for case in reversed(cases):
+        check(case)
+
+
 @pytest.mark.parametrize("argv", [
     ["--vf", "nan,0,0,1,-2,0,0,0,0,0,-2,1", "--box=-3,3"],
     ["--vf", "inf,0,0,1,-2,0,0,0,0,0,-2,1", "--box=-3,3"],
@@ -244,6 +266,42 @@ def test_non_finite_input_fails_closed(capsys, argv):
 def test_integrate_segment_count_below_one_is_input_error(capsys, n):
     _assert_one_error_line(*run_cli(capsys, "--json", "integrate", "--loop", "circle:r=1",
                                     "--f", "phi", "--phi", "swap", "--algebra", "C", "--N", n))
+
+
+def test_integrate_closed_loop_below_eight_segments_names_the_option(capsys):
+    result = run_cli(capsys, "--json", "integrate", "--loop", "circle:r=1", "--f", "phi",
+                     "--phi", "swap", "--algebra", "C", "--N", "7")
+    _assert_one_error_line(*result)
+    assert "--N" in result[2]
+
+
+@pytest.mark.parametrize("loop", ["circle:r=1", "segment:x0=0,y0=0,x1=1,y1=1"])
+def test_integrate_segment_count_above_the_cap_is_input_error_before_allocation(capsys, loop):
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, "--json", "integrate", "--loop", loop, "--f", "phi",
+                         "--phi", "swap", "--algebra", "C", "--N", str(MAX_SEGMENTS + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_one_error_line(*result)
+    assert "MAX_SEGMENTS" in result[2]
+    assert peak < 2**22
+
+
+@pytest.mark.parametrize("grid", ["0.1,0.6,0", "0.1,0.6,2.7", f"0.1,0.6,{MAX_GRID_COUNT + 1}",
+                                  "0.1,0.6,1e9", "0.1,0.6"])
+def test_ode_grid_count_must_be_a_capped_positive_integer(capsys, grid):
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, "--json", "ode", "solve", "--family", "exp", "--algebra", "C",
+                         "--phi", "identity2", "--grid", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_one_error_line(*result)
+    assert "--grid" in result[2]
+    assert peak < 2**22
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e160, 1e300, 1e308])

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phialg.algebra import algebra_a2_1
 from phialg.calculus import phi_polynomial, phi_reciprocal_power
 from phialg.errors import B1Zero, ConditionViolated, DegenerateParameters, DeltaZeroInconsistent
-from phialg.maps import SmoothMap
+from phialg.maps import SmoothMap, fd_partial, fd_step, worst_of
 from phialg.pdes import (
+    FIRST_ORDER_STEP,
+    SECOND_ORDER_STEP,
     FirstOrderPDE,
+    System451Solution,
     HeatProblem,
     SecondOrderPDE,
     first_order_phi,
@@ -59,6 +63,113 @@ def test_pde_residual_is_non_finite_when_a_point_is():
     points = [np.array([-0.5, 0.2]), np.array([0.5, 0.2]), np.array([-0.3, -0.4])]
     value = pde_residual(terms, lambda pt: math.nan if pt[0] > 0 else 0.0, points)
     assert math.isnan(value)
+
+
+def _naive_pde_residual(terms, fields, points, h=None):
+    """The residual as it was first written: every term rebuilds its component
+    closure and calls ``fields`` afresh at each of its stencil points."""
+
+    def component(comp):
+        def func(pt):
+            val = fields(pt)
+            return float(np.atleast_1d(val)[comp])
+
+        return func
+
+    second_order = any(sum(orders) >= 2 for _, _, orders in terms)
+    base = SECOND_ORDER_STEP if second_order else FIRST_ORDER_STEP
+    residuals = []
+    for pt in points:
+        pt = np.asarray(pt, dtype=float)
+        step = h if h is not None else fd_step(pt, base)
+        vals = [coeff * fd_partial(component(comp), pt, orders, step)
+                for coeff, comp, orders in terms]
+        scale = max(1.0, max(abs(v) for v in vals))
+        residuals.append(abs(sum(vals)) / scale)
+    return worst_of(residuals)
+
+
+def _outcome(residual, *args, **kwargs):
+    """The residual's bits, or the type of the exception it raises."""
+    try:
+        return float.hex(residual(*args, **kwargs))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+_coeff = st.floats(-3.0, 3.0, allow_nan=False)
+_term = st.tuples(_coeff, st.integers(0, 1), st.sampled_from(_ORDERS))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(terms=st.lists(_term, min_size=1, max_size=6),
+       params=st.lists(_coeff, min_size=4, max_size=4),
+       seed=st.integers(0, 2**16),
+       h=st.sampled_from([None, 1e-3, 1e-5]))
+def test_pde_residual_equals_the_term_by_term_reference_bit_for_bit(terms, params, seed, h):
+    a, b, c, d = params
+
+    def fields(pt):
+        x, y = pt
+        return (math.exp(a * x) * math.cos(b * y), math.sin(c * x * y) + d * x * x)
+
+    points = _points(np.random.default_rng(seed), count=4)
+    assert (_outcome(pde_residual, terms, fields, points, h=h)
+            == _outcome(_naive_pde_residual, terms, fields, points, h=h))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(params=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       family=st.sampled_from(["trig", "hyperbolic"]),
+       seed=st.integers(0, 2**16))
+def test_system451_residual_equals_both_reference_equations_bit_for_bit(params, family, seed):
+    a1, a2, b1, b2, c1, c2 = params
+    try:
+        sol = system_451_solutions(a1, a2, b1, b2, family, c1, c2)
+    except DegenerateParameters:
+        return
+    points = _points(np.random.default_rng(seed), count=4)
+    terms_1 = [(a1, 0, (1, 0)), (1.0, 0, (0, 1)), (b1, 0, (0, 0)), (-b1, 1, (0, 0))]
+    terms_2 = [(-a2, 1, (1, 0)), (1.0, 1, (0, 1)), (-b2, 0, (0, 0)), (b2, 1, (0, 0))]
+
+    def reference():
+        return worst_of([_naive_pde_residual(terms_1, sol.fields, points),
+                         _naive_pde_residual(terms_2, sol.fields, points)])
+
+    assert _outcome(sol.residual, a1, a2, b1, b2, points) == _outcome(reference)
+
+
+def _counting(func, calls):
+    def counted(pt):
+        calls.append(np.array(pt))
+        return func(pt)
+
+    return counted
+
+
+def test_fields_are_evaluated_once_per_distinct_stencil_point(rng):
+    pts = _points(rng, count=7)
+    calls = []
+    fields = _counting(lambda pt: (math.sin(pt[0]), math.cos(pt[1])), calls)
+    FirstOrderPDE(a=1.3, b=-0.7, c=0.4, d=2.1).residual(fields, pts)
+    assert len(calls) == 4 * len(pts)  # pt +- h e_x, pt +- h e_y; not 8 (terms x sides)
+
+    sol = system_451_solutions(1.0, 1.0, 1.0, 1.0, "trig", 1.0, 0.0)
+    calls = []
+    sol.y = _counting(sol.y, calls)  # sol.fields calls y exactly once
+    sol.residual(1.0, 1.0, 1.0, 1.0, pts)
+    assert len(calls) == 5 * len(pts)  # both equations share pt and its four neighbours
+
+
+def test_system451_residual_is_nan_when_only_the_second_equation_is():
+    # y = 0 everywhere and z = 0 at the point itself, so the first equation
+    # reads 0; the second differentiates z, which is nan at the neighbours
+    point = np.array([0.5, 0.25])
+    sol = System451Solution(y=lambda pt: 0.0,
+                            z=lambda pt: 0.0 if np.array_equal(pt, point) else math.nan,
+                            family="trig", h1=None, h2=None)
+    assert math.isnan(sol.residual(1.0, 1.0, 1.0, 1.0, [point]))
 
 
 # -- first order ------------------------------------------------------------------
