@@ -251,12 +251,12 @@ def factor_through_phi(f, phi, algebra, points, max_iter=50):
         raise last_err
 
     g = SmoothMap(phi.n, f.n, g_func, name=f"{f.name} via phi^-1")
-    worst = 0.0
+    distances = []
     for u in points:
         jphi = phi.jacobian(u)
         try:
             mat = f.jacobian(u) @ np.linalg.inv(jphi)
         except np.linalg.LinAlgError as exc:
             raise PhiNotInvertible(f"Jacobian of phi singular at {u}") from exc
-        worst = max(worst, rep_span_distance(algebra, mat))
-    return FactorReport(g=g, membership_distance=worst)
+        distances.append(rep_span_distance(algebra, mat))
+    return FactorReport(g=g, membership_distance=worst_of(distances))

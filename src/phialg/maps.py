@@ -2,7 +2,10 @@
 
 ``fd_partial`` is the package's one finite-difference engine: the Jacobian
 fallback of ``SmoothMap``, path velocities, the ODE residuals and the PDE
-substitution residuals all take their central differences from it.
+substitution residuals all take their central differences from it.  It takes
+one point or an (m, k) stack of points with one step per point; a stack costs
+one call of the differenced function per stencil offset, and every point gets
+the bits of its own single-point difference.
 
 ``SmoothMap.batch`` and ``SmoothMap.batch_jacobian`` evaluate a whole stack of
 points, as the quadrature nodes of a line integral, in one pass.  A map built
@@ -11,6 +14,13 @@ with ``broadcasts=True`` does this natively: ``linear``, ``identity``,
 ``calculus.phi_rational`` over such a phi, and the catalog's nonlinear map.
 Every other map, and every plain callable, is evaluated one point at a time by
 ``each``, the package's one per-point loop.  Both ways give the same bits.
+
+Batching keeps bits only where the arithmetic is elementwise and the same for
+a stack as for one point.  Two operations are not: the norm of a single
+vector goes through ``dot`` (so ``fd_step`` stays per point), and numpy's
+complex array multiply fuses operations on its SIMD path, so its last bits
+differ from the scalar multiply's (``quadratic`` writes the billiards
+products out in real arithmetic instead).
 """
 
 from __future__ import annotations
@@ -51,37 +61,58 @@ def _repeat(value, points):
 
 
 def fd_partial(func, point, orders, h):
-    """Central-difference partial derivative with per-variable orders (total <= 2)."""
+    """Central-difference partial derivative with per-variable orders (total <= 2).
+
+    ``point`` is one point, shape (k,), with a scalar step ``h``; or an (m, k)
+    stack of points with one step per point, shape (m,) (or one shared scalar
+    step).  For a stack, ``func`` takes the (m, k) stack of shifted points and
+    returns the m values, shape (m,) or (m, n); it is called once per stencil
+    offset, and every point gets the bits of its own single-point call.
+    """
     point = np.asarray(point, dtype=float)
     idx = [i for i, o in enumerate(orders) for _ in range(o)]
-    total = len(idx)
-    if total == 0:
+    if not idx:
         return func(point)
-    if total == 1:
+    if len(idx) > 2:
+        raise ValueError("only derivatives up to total order 2 are supported")
+    shifts = []
+    for i in idx:
         e = np.zeros_like(point)
-        e[idx[0]] = h
-        return (func(point + e) - func(point - e)) / (2.0 * h)
-    if total == 2 and idx[0] == idx[1]:
-        e = np.zeros_like(point)
-        e[idx[0]] = h
-        return (func(point + e) - 2.0 * func(point) + func(point - e)) / (h * h)
-    if total == 2:
-        e1 = np.zeros_like(point)
-        e2 = np.zeros_like(point)
-        e1[idx[0]] = h
-        e2[idx[1]] = h
-        return (func(point + e1 + e2) - func(point + e1 - e2)
-                - func(point - e1 + e2) + func(point - e1 - e2)) / (4.0 * h * h)
-    raise ValueError("only derivatives up to total order 2 are supported")
+        e[..., i] = h
+        shifts.append(e)
+    if len(idx) == 1:
+        e = shifts[0]
+        num, den = func(point + e) - func(point - e), 2.0 * h
+    elif idx[0] == idx[1]:
+        e = shifts[0]
+        num, den = func(point + e) - 2.0 * func(point) + func(point - e), h * h
+    else:
+        e1, e2 = shifts
+        num = (func(point + e1 + e2) - func(point + e1 - e2)
+               - func(point - e1 + e2) + func(point - e1 - e2))
+        den = 4.0 * h * h
+    if point.ndim > 1:  # one step per point, against values of shape (m,) or (m, n)
+        den = np.reshape(den, np.shape(den) + (1,) * (np.ndim(num) - np.ndim(den)))
+    return num / den
 
 
 def fd_jacobian(func, u, base=FD_STEP):
     """Central-difference Jacobian, one ``fd_partial`` column per variable, with
-    step scaled by the point's norm."""
+    step scaled by the point's norm.
+
+    ``u`` is one point, giving the (n, k) Jacobian, or an (m, k) stack of
+    points, giving (m, n, k) from one call of ``func`` per stencil offset; each
+    point keeps its own step.
+    """
     u = np.asarray(u, dtype=float)
-    h = fd_step(u, base)
-    return np.column_stack([fd_partial(func, u, orders, h)
-                            for orders in np.eye(u.shape[0], dtype=int)])
+    if u.ndim == 1:
+        h = fd_step(u, base)
+        return np.column_stack([fd_partial(func, u, orders, h)
+                                for orders in np.eye(u.shape[0], dtype=int)])
+    # the norm of a single vector goes through dot, so the step stays per point
+    h = np.array([fd_step(p, base) for p in u])
+    return np.stack([fd_partial(func, u, orders, h)
+                     for orders in np.eye(u.shape[-1], dtype=int)], axis=-1)
 
 
 class SmoothMap:
@@ -192,10 +223,10 @@ def compose(outer, inner, name=""):
 
 def jacobian_consistency(smooth_map, points, rtol=1e-4):
     """Worst relative disagreement between the analytic Jacobian and an FD check."""
-    worst = 0.0
+    errors = []
     for u in points:
         analytic = smooth_map.jacobian(np.asarray(u, dtype=float))
         numeric = fd_jacobian(smooth_map, np.asarray(u, dtype=float))
         scale = max(1.0, float(np.abs(analytic).max()))
-        worst = max(worst, float(np.abs(analytic - numeric).max()) / scale)
-    return worst
+        errors.append(float(np.abs(analytic - numeric).max()) / scale)
+    return worst_of(errors)

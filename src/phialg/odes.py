@@ -28,29 +28,45 @@ class SolutionSamples:
     max_residual: float
 
 
-def solution_residual(w, rhs, phi, algebra, grid, step=RESIDUAL_STEP):
-    """max over the grid of |dw - rep(F(tau, w)) dphi| / (1 + |dphi|); nan if any is nan."""
-    residuals = []
-    values = []
-    for tau in grid:
-        tau = np.asarray(tau, dtype=float)
-        wt = np.asarray(w(tau))
-        values.append(wt)
-        dw = fd_jacobian(w, tau, base=step)
-        jphi = phi.jacobian(tau)
-        target = algebra.rep(rhs(tau, wt)) @ jphi
-        denom = 1.0 + float(np.linalg.norm(jphi))
-        residuals.append(float(np.linalg.norm(dw - target)) / denom)
-    return SolutionSamples(taus=[np.asarray(t, dtype=float) for t in grid],
-                           values=np.stack(values), max_residual=worst_of(residuals))
+def solution_residual(w, rhs, phi, algebra, grid, step=RESIDUAL_STEP, broadcasts=False):
+    """max over the grid of |dw - rep(F(tau, w)) dphi| / (1 + |dphi|); nan if any is nan.
+
+    With ``broadcasts``, ``w`` takes an (m, k) stack of parameter values and
+    ``rhs`` a stack of (tau, w) pairs, so the whole grid is differenced with
+    one call of ``w`` per stencil offset (``maps.fd_jacobian``).  Otherwise
+    both take one point, and ``each`` calls them point by point.  Either way
+    every point gets the bits of its own per-point computation.
+    """
+    taus = np.array(grid, dtype=float)
+    if not broadcasts:
+        w_at, rhs_at = w, rhs
+
+        def w(ts):
+            return each(w_at, ts)
+
+        def rhs(ts, ws):
+            return np.stack([rhs_at(t, wt) for t, wt in zip(ts, ws)])
+
+    values = np.asarray(w(taus))
+    dw = fd_jacobian(w, taus, base=step)
+    jphi = phi.batch_jacobian(taus)
+    target = algebra.rep(rhs(taus, values)) @ jphi
+    residuals = [float(np.linalg.norm(d - t)) / (1.0 + float(np.linalg.norm(j)))
+                 for d, t, j in zip(dw, target, jphi)]
+    return SolutionSamples(taus=list(taus), values=values, max_residual=worst_of(residuals))
 
 
 @dataclass
 class OdeSolution:
-    """A closed-form solution bundled with its defining data."""
+    """A closed-form solution bundled with its defining data.
 
-    w: object  # tau -> element
-    rhs: object  # (tau, w) -> element
+    ``w`` and ``rhs`` take one parameter value or an (m, k) stack of them, as
+    the constructors below build them, so ``samples`` differences the whole
+    grid at once.
+    """
+
+    w: object  # tau -> element, or a stack of tau -> a stack of elements
+    rhs: object  # (tau, w) -> element, likewise stacked
     phi: SmoothMap
     algebra: object
 
@@ -58,47 +74,48 @@ class OdeSolution:
         return self.w(np.asarray(tau, dtype=float))
 
     def samples(self, grid, step=RESIDUAL_STEP):
-        return solution_residual(self.w, self.rhs, self.phi, self.algebra, grid, step=step)
+        return solution_residual(self.w, self.rhs, self.phi, self.algebra, grid, step=step,
+                                 broadcasts=True)
 
 
 def solve_square_rhs(K, H, C, phi, algebra):
     """Solution w = -e / (H(tau) + C) of w'_phi = K(tau) w^2.
 
-    K must be differentiable relative to (phi, algebra) with antiderivative H;
-    the solution exists wherever H(tau) + C is regular (inversion raises
-    SingularElement elsewhere).
+    K must be differentiable relative to (phi, algebra) with antiderivative H,
+    both ``SmoothMap``s; the solution exists wherever H(tau) + C is regular
+    (inversion raises SingularElement elsewhere).
     """
     C = algebra.element(C)
 
     def w(tau):
-        return -algebra.inverse(H(tau) + C)
+        return -algebra.inverse(H.batch(tau) + C)
 
     def rhs(tau, wt):
-        return algebra.product(K(tau), algebra.product(wt, wt))
+        return algebra.product(K.batch(tau), algebra.product(wt, wt))
 
     return OdeSolution(w=w, rhs=rhs, phi=phi, algebra=algebra)
 
 
 def solve_phi_rhs(K, C, algebra):
-    """Solution w = K(tau)^2 / 2 + C of w'_phi = K(tau) when phi = K."""
+    """Solution w = K(tau)^2 / 2 + C of w'_phi = K(tau) when phi = K (a ``SmoothMap``)."""
     C = algebra.element(C)
 
     def w(tau):
-        k = K(tau)
+        k = K.batch(tau)
         return algebra.product(k, k) / 2.0 + C
 
     def rhs(tau, wt):
-        return K(tau)
+        return K.batch(tau)
 
     return OdeSolution(w=w, rhs=rhs, phi=K, algebra=algebra)
 
 
 def solve_exponential(phi, algebra, C):
-    """Solution w = C exp(phi(tau)) of w'_phi = w."""
+    """Solution w = C exp(phi(tau)) of w'_phi = w; the exponential is taken per element."""
     C = algebra.element(C)
 
     def w(tau):
-        return algebra.product(C, algebra.exp(phi(tau)))
+        return algebra.product(C, each(algebra.exp, phi.batch(tau)))
 
     def rhs(tau, wt):
         return wt
@@ -255,10 +272,10 @@ def verify_canonical(rect_map, field, points):
     differential sends F to the constant first basis vector.
     """
     points = [np.asarray(p, dtype=float) for p in points]
-    worst = 0.0
+    deviations = []
     for u in points:
         jr = rect_map.jacobian(u)
         target = np.zeros(jr.shape[0])
         target[0] = 1.0
-        worst = max(worst, float(np.linalg.norm(jr @ np.asarray(field(u)) - target)))
-    return worst
+        deviations.append(float(np.linalg.norm(jr @ np.asarray(field(u)) - target)))
+    return worst_of(deviations)

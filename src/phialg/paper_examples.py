@@ -17,7 +17,7 @@ from .catalog import (default_families, embed_xy0_map, nonlinear_3to2_map,
                       section31_algebra, swap_map)
 from .cre import TwoPDESystem, emit_cre, recover_phi_algebra, two_pde_from_cre
 from .integrals import Path, closed_loop_check, conservative_fields, line_integral
-from .maps import SmoothMap
+from .maps import SmoothMap, worst_of
 from .odes import picard, solve_exponential, solve_phi_rhs, solve_square_rhs, verify_canonical
 from .pdes import (
     FirstOrderPDE,
@@ -148,16 +148,16 @@ def _golden_cre_checks():
 
 def _derivative_checks(rng):
     rows = []
-    worst = 0.0
+    errors = []
     for fam in default_families():
         f_phi = fam.functions["phi"]
         for _ in range(10):
             u = fam.sample(rng)
             report = phi_derivative(f_phi, fam.phi, fam.algebra, u)
-            worst = max(worst, report.residual)
+            errors.append(report.residual)
             if report.unique:
-                worst = max(worst, float(np.abs(report.derivative - fam.algebra.unit).max()))
-    rows.append(_row("derivative of the reference map is the unit", worst, 1e-8))
+                errors.append(float(np.abs(report.derivative - fam.algebra.unit).max()))
+    rows.append(_row("derivative of the reference map is the unit", worst_of(errors), 1e-8))
 
     degenerate = algebra_a3_1((0.0,) * 6)
     phi = SmoothMap.linear([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -188,8 +188,8 @@ def _recovery_checks():
     coeffs[1, 3] = [0, -1, -beta]
     rec = recover_phi_algebra(TwoPDESystem(coeffs))
     expected = np.array([[1.0, 0.0, -1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0, 0.0]])
-    err = _aligned_potential_error(rec, expected)
-    err = max(err, abs(rec.params[0] - alpha), abs(rec.params[1] - beta))
+    err = worst_of([_aligned_potential_error(rec, expected),
+                    abs(rec.params[0] - alpha), abs(rec.params[1] - beta)])
     rows.append(_row("recover quadratic potentials + parameters", err, 1e-12))
 
     coeffs = np.zeros((2, 4, 3))
@@ -238,7 +238,7 @@ def _integral_checks():
     rows.append(_row("Cauchy loop: reciprocal over 3-dim algebra", report3.final_magnitude, 1e-8))
 
     fields = conservative_fields(recip3, phi3, alg)
-    worst = 0.0
+    errors = []
     for x, y in [(2.0, 0.5), (3.0, 1.0), (1.5, 0.25), (2.5, -0.5)]:
         u = np.array([x, y])
         den = x ** 3 + 2 * x ** 2 * y
@@ -247,9 +247,8 @@ def _integral_checks():
             np.array([(-x * y - y * y) / den, (x + y) / (x * x + 2 * x * y)]),
             np.array([y * y / den, -x * y / den]),
         ]
-        for q in range(3):
-            worst = max(worst, float(np.abs(fields[q](u) - expected[q]).max()))
-    rows.append(_row("conservative fields match closed forms", worst, 1e-10))
+        errors.extend(float(np.abs(fields[q](u) - expected[q]).max()) for q in range(3))
+    rows.append(_row("conservative fields match closed forms", worst_of(errors), 1e-10))
     return rows
 
 
@@ -288,11 +287,11 @@ def _ode_checks(rng):
 def _billiards_checks():
     rows = []
     rep = verify_billiards_algebrization(1.0, 1.0, 1.0)
-    err = max(rep.residual, abs(rep.alpha + 1.0), abs(rep.beta + 1.0),
-              float(np.abs(rep.v - np.array([1.0, -1.0, 0.0, -1.0])).max()))
+    err = worst_of([rep.residual, abs(rep.alpha + 1.0), abs(rep.beta + 1.0),
+                    float(np.abs(rep.v - np.array([1.0, -1.0, 0.0, -1.0])).max())])
     rows.append(_row("billiards field (1,1,1)", err, 1e-12))
     rep2 = verify_billiards_algebrization(2.0, 1.0, 1.0)
-    err2 = max(rep2.residual, abs(rep2.alpha + 4.0 / 9.0), abs(rep2.beta + 4.0 / 9.0))
+    err2 = worst_of([rep2.residual, abs(rep2.alpha + 4.0 / 9.0), abs(rep2.beta + 4.0 / 9.0)])
     rows.append(_row("billiards field (2,1,1)", err2, 1e-12))
     return rows
 
@@ -302,28 +301,26 @@ def _pde_checks(rng):
     pde = FirstOrderPDE(a=1.3, b=-0.7, c=0.4, d=2.1)
     phi = first_order_phi(pde, 0.0, 0.0)
     expected = np.array([[pde.d, pde.b], [pde.c - pde.d, pde.a - pde.b]])
-    err = float(np.abs(phi.matrix - expected).max())
     alg = algebra_a2_1(0.0, 0.0)
     fn = phi_polynomial([alg.zero(), alg.zero(), alg.unit], phi, alg)
     pts = [rng.uniform(-1, 1, 2) for _ in range(10)]
-    err = max(err, pde.residual(fn, pts))
+    err = worst_of([float(np.abs(phi.matrix - expected).max()), pde.residual(fn, pts)])
     rows.append(_row("first-order pde: map and quadratic solution", err, 1e-6))
 
     sol = system_451_solutions(1.0, 1.0, 1.0, 1.0, "trig", 1.0, 0.0)
-    r = sol.residual(1.0, 1.0, 1.0, 1.0, pts)
     solh = system_451_solutions(1.0, 1.0, 1.0, 1.0, "hyperbolic", 0.7, -0.4)
-    r = max(r, solh.residual(1.0, 1.0, 1.0, 1.0, pts))
+    r = worst_of([sol.residual(1.0, 1.0, 1.0, 1.0, pts), solh.residual(1.0, 1.0, 1.0, 1.0, pts)])
     rows.append(_row("two-equation system: both families", r, 1e-6))
 
     so = second_order_solution(SecondOrderPDE(A=1, B=0, C=1, D=1, E=1), 1.0, 1.0)
-    err = max(abs(so.a + 1.0), abs(so.b + 1.0), so.residual)
+    err = worst_of([abs(so.a + 1.0), abs(so.b + 1.0), so.residual])
     rows.append(_row("second-order pde: spec instance", err, 1e-4,
                      note=f"branch {so.branch}"))
 
     hs = heat_solution(HeatProblem(alpha=1.0, p=(1, 0, 0, 0, 0, 1)))
     matrix = heat_system_matrix(1.0, (1, 0, 0, 0, 0, 1))
-    err = float(np.abs(matrix @ hs.b - np.array([1, 0, 0, 0])).max())
-    err = max(err, abs(hs.delta - 2.0), hs.residual, abs(hs.diagnostic))
+    err = worst_of([float(np.abs(matrix @ hs.b - np.array([1, 0, 0, 0])).max()),
+                    abs(hs.delta - 2.0), hs.residual, abs(hs.diagnostic)])
     rows.append(_row("heat equation: spec instance", err, 1e-4))
     return rows
 
@@ -332,10 +329,9 @@ def run_all(seed=0):
     rng = np.random.default_rng(seed)
     rows = []
     alg = section31_algebra()
-    worst = 0.0
-    for x, y in [(1.0, 1.0), (2.0, 0.5), (1.5, -0.25), (3.0, 1.0)]:
-        got = alg.inverse(np.array([x, y, 0.0]))
-        worst = max(worst, float(np.abs(got - section31_inverse_closed_form((x, y))).max()))
+    worst = worst_of([float(np.abs(alg.inverse(np.array([x, y, 0.0]))
+                                   - section31_inverse_closed_form((x, y))).max())
+                      for x, y in [(1.0, 1.0), (2.0, 0.5), (1.5, -0.25), (3.0, 1.0)]])
     rows.append(_row("inverse closed form in the 3-dim example algebra", worst, 1e-10))
 
     rows.extend(_golden_cre_checks())

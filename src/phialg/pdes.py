@@ -20,7 +20,7 @@ from .errors import (
     DegenerateParameters,
     DeltaZeroInconsistent,
 )
-from .maps import SmoothMap, fd_partial, fd_step, worst_of
+from .maps import SmoothMap, each, fd_partial, fd_step, worst_of
 
 SECOND_ORDER_STEP = 1e-4
 FIRST_ORDER_STEP = 1e-6
@@ -41,48 +41,58 @@ def pde_residual(terms, fields, points, h=None):
 
     ``terms`` is a list of (coeff, component, orders); ``fields`` maps a point
     to the tuple of dependent values (or a scalar for single-component
-    problems).  Each point's residual is normalized by the largest term
-    magnitude so the number is scale free; a non-finite point residual makes
-    the result non-finite.  ``fields`` is called once per distinct stencil
-    point, however many terms and components read it; the result is bit for
-    bit that of calling it afresh for every term.
+    problems), or is a ``SmoothMap``.  Each point's residual is normalized by
+    the largest term magnitude so the number is scale free; a non-finite point
+    residual makes the result non-finite.  ``fields`` is evaluated once per
+    distinct stencil stack, however many terms and components read it: in one
+    ``batch`` call for all points when it is a broadcasting ``SmoothMap``, and
+    once per point otherwise.  The result is bit for bit that of differencing
+    point by point and calling ``fields`` afresh for every term.
     """
     return _equation_residuals([terms], fields, points, h)[0]
 
 
 def _equation_residuals(equations, fields, points, h=None):
     """``pde_residual`` of each term list, all from one evaluation of ``fields``
-    per distinct stencil point.
+    per distinct stencil stack.
 
-    At each point, the values of ``fields`` are kept by the exact bytes of
-    the stencil point that ``fd_partial`` asks for, so the equations and the
-    components share them; a point that differs in any bit is evaluated anew.
+    The points are differenced together as one (m, k) stack, through
+    ``maps.fd_partial``.  The values of ``fields`` are kept by the exact bytes
+    of each shifted stack it asks for, so the equations, terms and components
+    share them.  A broadcasting ``SmoothMap`` takes each stack in one ``batch``
+    call; any other ``fields`` is called once per point of the stack.
     """
+    if not len(points):
+        return [0.0 for _ in equations]
+    stack = np.array(points, dtype=float)
+    evaluate = fields.batch if isinstance(fields, SmoothMap) else (lambda s: each(fields, s))
     memo = {}
 
-    def values(p):
-        key = p.tobytes()
+    def values(shifted):
+        key = shifted.tobytes()
         if key not in memo:
-            memo[key] = np.atleast_1d(fields(p))
+            memo[key] = np.asarray(evaluate(shifted), dtype=float).reshape(len(shifted), -1)
         return memo[key]
-
-    def component(comp):
-        return lambda p: float(values(p)[comp])
 
     out = []
     for terms in equations:
-        second_order = any(sum(orders) >= 2 for _, _, orders in terms)
-        base = SECOND_ORDER_STEP if second_order else FIRST_ORDER_STEP
-        out.append((base, [(coeff, component(comp), orders) for coeff, comp, orders in terms], []))
-    for pt in points:
-        pt = np.asarray(pt, dtype=float)
-        memo.clear()
-        for base, funcs, residuals in out:
-            step = h if h is not None else fd_step(pt, base)
-            vals = [coeff * fd_partial(func, pt, orders, step) for coeff, func, orders in funcs]
-            scale = max(1.0, max(abs(v) for v in vals))
-            residuals.append(abs(sum(vals)) / scale)
-    return [worst_of(residuals) for _, _, residuals in out]
+        if h is None:
+            second_order = any(sum(orders) >= 2 for _, _, orders in terms)
+            base = SECOND_ORDER_STEP if second_order else FIRST_ORDER_STEP
+            step = np.array([fd_step(pt, base) for pt in stack])
+        else:
+            step = h
+        # silent, as the per-point Python float arithmetic was: an overflow or
+        # inf - inf shows as a non-finite residual, not as a warning line
+        with np.errstate(all="ignore"):
+            vals = [coeff * fd_partial(lambda s, comp=comp: values(s)[:, comp], stack, orders, step)
+                    for coeff, comp, orders in terms]
+            total = vals[0]
+            for v in vals[1:]:  # left to right, as the per-point sum
+                total = total + v
+            scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
+            out.append(worst_of(np.abs(total) / scale))
+    return out
 
 
 # -- first order: a u_x + b v_x - c u_y - d v_y = 0 ----------------------------
@@ -142,7 +152,12 @@ class System451Solution:
     h2: object
 
     def fields(self, point):
-        return np.array([self.y(point), self.z(point)])
+        try:
+            return np.array([self.y(point), self.z(point)])
+        except OverflowError:  # math.exp and math.cosh raise instead of giving inf
+            raise DegenerateParameters(
+                f"system451 closed form overflows at (x, t) = {np.asarray(point).tolist()}: "
+                "its exponents are too large for these parameters") from None
 
     def residual(self, a1, a2, b1, b2, points):
         # a1 y_x + y_t + b1 y - b1 z = 0 ; -a2 z_x + z_t - b2 y + b2 z = 0

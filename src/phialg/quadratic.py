@@ -42,7 +42,7 @@ from .algebra import algebra_a2_1
 from .catalog import ALGEBRA_BUILDERS
 from .calculus import cre_residual
 from .errors import DegenerateParameters, DimensionMismatch
-from .maps import SmoothMap
+from .maps import SmoothMap, worst_of
 
 CASE_A2_1 = "A2_1"
 CASE_A2_2 = "A2_2"
@@ -206,13 +206,13 @@ def _grid_residual(vf, phi, algebra, tol):
     stops at the first failure, so only accepted witnesses pay for every point.
     """
     fmap = vf.as_map()
-    worst = 0.0
+    residuals = []
     for u in _VERIFY_GRID:
         r = cre_residual(fmap, phi, algebra, u)
         if not (math.isfinite(r) and r <= tol):
             return None
-        worst = max(worst, r)
-    return worst
+        residuals.append(r)
+    return worst_of(residuals)
 
 
 def _certify(vf, case, params, v, tol=WITNESS_TOL):
@@ -588,6 +588,20 @@ def _alternate_refine(vf, case, starts, include_linear, iters, pair_mode):
 # -- the quadratic field attached to triangular billiards ----------------------
 
 
+def _cmul(x, y):
+    """x * y for complex scalars or arrays, written out as (ac - bd) + i(ad + bc).
+
+    numpy's complex array multiply fuses operations on its SIMD path, so its
+    last bits differ from those of the scalar multiply; written out, every
+    element gets the bits of the scalar product.
+    """
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 @dataclass
 class BilliardsField:
     """F(u, v) = (b u^2 - (b+c) uv, a v^2 - (a+c) uv) on C^2 and its real form."""
@@ -603,9 +617,10 @@ class BilliardsField:
                            b=(0.0, 0.0, 0.0, 0.0, -(a + c), a))
 
     def complex_eval(self, u, v):
+        """F at complex u, v (scalars, or arrays of one shape), shape (..., 2)."""
         a, b, c = self.a, self.b, self.c
-        return np.array([b * u * u - (b + c) * u * v,
-                         a * v * v - (a + c) * u * v])
+        return np.stack([_cmul(_cmul(b, u), u) - _cmul(_cmul(b + c, u), v),
+                         _cmul(_cmul(a, v), v) - _cmul(_cmul(a + c, u), v)], axis=-1)
 
     def real_eval(self, point):
         x1, y1, x2, y2 = point
@@ -664,15 +679,13 @@ def verify_billiards_algebrization(a, b, c, grid=None):
     field = billiards_field(a, b, c)
     phi_matrix = np.array([[1.0, -(b + c) / (2.0 * b)], [0.0, -(a + c) / (2.0 * b)]],
                           dtype=complex)
-    pts = grid if grid is not None else _COMPLEX_GRID
-    worst = 0.0
-    for u in pts:
-        for w in pts:
-            z = np.array([u, w], dtype=complex)
-            phi_w = phi_matrix @ z
-            rhs = b * algebra.product(phi_w, phi_w)
-            lhs = field.complex_eval(z[0], z[1])
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    pts = np.asarray(grid if grid is not None else _COMPLEX_GRID, dtype=complex)
+    # every pair (u, w) of grid values at once, u the slower index
+    z = np.stack(np.meshgrid(pts, pts, indexing="ij"), axis=-1).reshape(-1, 2)
+    phi_w = (phi_matrix @ z[..., None])[..., 0]
+    rhs = b * algebra.product(phi_w, phi_w)
+    lhs = field.complex_eval(z[:, 0], z[:, 1])
+    worst = worst_of(np.abs(lhs - rhs))
     det_m4 = abs(complex(np.linalg.det(build_M4(field.quadratic_vf, CASE_A2_1, (alpha, beta)))))
     return BilliardsReport(alpha=alpha, beta=beta, v=v, phi_matrix=phi_matrix,
                            residual=worst, det_m4=det_m4, algebra=algebra)

@@ -1,21 +1,33 @@
-"""Batched quadrature gives the bits of the per-node loop it replaced.
+"""Batched quadrature and batched verifiers give the bits of the per-node and
+per-point loops they replaced.
 
 Each reference below evaluates one node at a time, the way the integrand was
 evaluated before the node stack was batched: ``f(u)``, ``phi.jacobian(u) @
 path.velocity(t)`` and ``algebra.product`` per node, then the Simpson weights.
-Every comparison is ``np.array_equal``.
+The stencil references difference one point at a time, as the ODE, PDE and
+billiards verifiers did before their points were stacked.  Every comparison is
+``np.array_equal`` or ``float.hex``.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from phialg.algebra import algebra_a2_12, complex_algebra
+from phialg.algebra import algebra_a2_1, algebra_a2_12, complex_algebra
 from phialg.calculus import _poly_eval, phi_polynomial, phi_reciprocal_power, poly_derivative_coeffs
 from phialg.catalog import PHI_BUILDERS
-from phialg.errors import SingularElement
+from phialg.errors import DegenerateParameters, SingularElement
 from phialg.integrals import Path, closed_loop_check, line_integral
-from phialg.maps import SmoothMap, compose
-from phialg.odes import _cumulative_integral, picard, separable_solve
+from phialg.maps import SmoothMap, compose, fd_jacobian, fd_partial, fd_step, worst_of
+from phialg.odes import (_cumulative_integral, picard, separable_solve, solution_residual,
+                         solve_exponential, solve_phi_rhs, solve_square_rhs)
+from phialg.pdes import (FIRST_ORDER_STEP, SECOND_ORDER_STEP, FirstOrderPDE, HeatProblem,
+                         SecondOrderPDE, first_order_phi)
+from phialg.quadratic import (_COMPLEX_GRID, billiards_field, billiards_parameters,
+                              verify_billiards_algebrization)
 
 LADDER = (16, 32, 64)
 
@@ -330,3 +342,215 @@ def test_separable_with_a_non_broadcasting_L_matches_the_node_loop(families):
     tau = np.array([1.3, 0.95])
     assert np.array_equal(sol2.solve_at(tau),
                           reference_separable(plain_K, L, phi, alg, w0, tau0, tau, 32))
+
+
+# -- the finite-difference stencil over a stack of points -------------------------
+
+_STENCIL_ORDERS = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 1, 1)]
+
+
+def _cubic(p):
+    """A cubic in the last axis of p, in + - * only: the same bits for one point and a stack."""
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return 0.7 * x * x * y - 1.3 * y * z + z * z * z / 3.0 - 2.0 * x
+
+
+def _cubic_pair(p):
+    return np.stack([_cubic(p), p[..., 0] * p[..., 2] - 0.5 * p[..., 1] * p[..., 1]], axis=-1)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(points=arrays(float, st.tuples(st.integers(1, 6), st.just(3)),
+                     elements=st.floats(allow_nan=True, allow_infinity=True)
+                     | st.floats(-4.0, 4.0)),
+       orders=st.sampled_from(_STENCIL_ORDERS),
+       func=st.sampled_from([_cubic, _cubic_pair]),
+       shared_step=st.sampled_from([None, 1e-3]))
+def test_stacked_fd_partial_equals_the_per_point_difference(points, orders, func, shared_step):
+    with np.errstate(all="ignore"):  # huge, infinite and nan points stay in the stack
+        steps = (np.array([fd_step(p) for p in points]) if shared_step is None
+                 else np.full(len(points), shared_step))
+        want = np.stack([np.asarray(fd_partial(func, p, orders, h))
+                         for p, h in zip(points, steps)])
+        got = fd_partial(func, points, orders, steps if shared_step is None else shared_step)
+        jac = fd_jacobian(func, points)
+        want_jac = np.stack([fd_jacobian(func, p) for p in points])
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    if func is _cubic_pair:
+        assert np.array_equal(jac, want_jac, equal_nan=True)
+
+
+def reference_solution_residual(w, rhs, phi, algebra, grid, step=1e-6):
+    """solution_residual as it ran point by point, one w call per stencil point."""
+    residuals, values = [], []
+    for tau in grid:
+        tau = np.asarray(tau, dtype=float)
+        wt = np.asarray(w(tau))
+        values.append(wt)
+        dw = fd_jacobian(w, tau, base=step)
+        jphi = phi.jacobian(tau)
+        target = algebra.rep(rhs(tau, wt)) @ jphi
+        denom = 1.0 + float(np.linalg.norm(jphi))
+        residuals.append(float(np.linalg.norm(dw - target)) / denom)
+    return np.stack(values), worst_of(residuals)
+
+
+def _ode_cases(families):
+    """(name, stacked solution, per-point w, per-point rhs) for the three closed-form families."""
+    rng = np.random.default_rng(21)
+    for fam in families:
+        alg, phi = fam.algebra, fam.phi
+        zero, unit = alg.zero(), alg.unit
+        K = phi_polynomial([zero, unit], phi, alg, name="phi")
+        H = phi_polynomial([zero, zero, 0.5 * unit], phi, alg, name="phi^2/2")
+        C = rng.uniform(2.0, 3.0) * unit + rng.uniform(-0.3, 0.3, alg.dim)
+        yield (fam, "square", solve_square_rhs(K, H, C, phi, alg),
+               lambda tau, H=H, C=C, alg=alg: -alg.inverse(H(tau) + C),
+               lambda tau, wt, K=K, alg=alg: alg.product(K(tau), alg.product(wt, wt)))
+        yield (fam, "phi-rhs", solve_phi_rhs(K, C, alg),
+               lambda tau, K=K, C=C, alg=alg: alg.product(K(tau), K(tau)) / 2.0 + C,
+               lambda tau, wt, K=K: K(tau))
+        yield (fam, "exp", solve_exponential(phi, alg, C),
+               lambda tau, phi=phi, C=C, alg=alg: alg.product(C, alg.exp(phi(tau))),
+               lambda tau, wt: wt)
+
+
+def test_ode_solution_residuals_match_the_per_point_stencil(families):
+    rng = np.random.default_rng(5)
+    for fam, name, sol, w, rhs in _ode_cases(families):
+        grid = [fam.sample(rng) for _ in range(6)]
+        phi = sol.phi
+        samples = sol.samples(grid)
+        want_values, want = reference_solution_residual(w, rhs, phi, sol.algebra, grid)
+        assert float.hex(samples.max_residual) == float.hex(want), (fam.name, name)
+        assert np.array_equal(samples.values, want_values), (fam.name, name)
+        assert all(np.array_equal(t, g) for t, g in zip(samples.taus, grid))
+
+
+def test_a_per_point_solution_goes_through_each_with_the_same_bits(families):
+    fam = next(f for f in families if f.name == "param-family-linear")
+    alg, phi = fam.algebra, fam.phi
+    calls = []
+
+    def w(tau):  # takes one point only
+        calls.append(tau.shape)
+        return alg.product(phi(tau), np.array([1.0, float(tau[0])]))
+
+    def rhs(tau, wt):
+        return alg.product(wt, wt)
+
+    grid = [fam.sample(np.random.default_rng(6)) for _ in range(5)]
+    samples = solution_residual(w, rhs, phi, alg, grid)
+    want_values, want = reference_solution_residual(w, rhs, phi, alg, grid)
+    assert float.hex(samples.max_residual) == float.hex(want)
+    assert np.array_equal(samples.values, want_values)
+    assert set(calls) == {(2,)}
+
+
+def test_separable_samples_match_the_per_point_stencil():
+    c = complex_algebra()
+    phi = SmoothMap.identity(2)
+    K = SmoothMap.constant(c.unit, k=2)
+    sep = separable_solve(K, lambda w: c.product(w, w), phi, c, np.array([0.5, 0.1]),
+                          np.zeros(2), segments=32)
+    grid = [np.array([0.05, 0.02]), np.array([0.1, -0.03])]
+    samples = sep.samples(grid)
+    _, want = reference_solution_residual(sep.solve_at, sep.rhs, phi, c, grid)
+    assert float.hex(samples.max_residual) == float.hex(want)
+
+
+def reference_pde_residual(terms, fields, points, h=None):
+    """pde_residual as it ran point by point, every term calling fields afresh."""
+    second_order = any(sum(orders) >= 2 for _, _, orders in terms)
+    base = SECOND_ORDER_STEP if second_order else FIRST_ORDER_STEP
+    residuals = []
+    for pt in points:
+        pt = np.asarray(pt, dtype=float)
+        step = h if h is not None else fd_step(pt, base)
+        vals = [coeff * fd_partial(lambda p, comp=comp: float(np.atleast_1d(fields(p))[comp]),
+                                   pt, orders, step)
+                for coeff, comp, orders in terms]
+        scale = max(1.0, max(abs(v) for v in vals))
+        residuals.append(abs(sum(vals)) / scale)
+    return worst_of(residuals)
+
+
+def test_pde_residuals_match_the_per_point_stencil():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        a, b, c, d = rng.uniform(-2.0, 2.0, 4)
+        alpha, beta = rng.uniform(-1.0, 1.0, 2)
+        pde = FirstOrderPDE(a=a, b=b, c=c, d=d)
+        alg = algebra_a2_1(alpha, beta)
+        fn = phi_polynomial([alg.zero(), alg.zero(), alg.unit], first_order_phi(pde, alpha, beta), alg)
+        pts = [rng.uniform(-1.0, 1.0, 2) for _ in range(20)]
+        for h in (None, 1e-4):
+            assert (float.hex(pde.residual(fn, pts, h=h))
+                    == float.hex(reference_pde_residual(pde.terms(), fn, pts, h=h)))
+
+        A, C = rng.uniform(0.5, 1.5, 2)
+        B, D, E = rng.uniform(-1.0, 1.0, 3)
+        second = SecondOrderPDE(A=A, B=B, C=C, D=D, E=E)
+
+        def u(pt, a=rng.uniform(-2, 2), b=rng.uniform(-2, 2)):
+            return math.exp(a * pt[0] + b * pt[1])
+
+        assert (float.hex(second.residual(u, pts))
+                == float.hex(reference_pde_residual(second.terms(), u, pts)))
+
+        heat = HeatProblem(alpha=rng.uniform(0.5, 1.5), p=tuple(rng.uniform(-1, 1, 6)))
+        exponent = rng.uniform(-1.5, 1.5, 4)
+
+        def v(pt):
+            return math.exp(float(np.dot(exponent, pt)))
+
+        pts4 = [rng.uniform(-0.8, 0.8, 4) for _ in range(10)]
+        assert (float.hex(heat.residual(v, pts4))
+                == float.hex(reference_pde_residual(heat.terms(), v, pts4)))
+
+
+def reference_billiards_residual(a, b, c, grid):
+    """verify_billiards_algebrization's residual as the 16 x 16 loop computed it."""
+    alpha, beta, _ = billiards_parameters(a, b, c)
+    algebra = algebra_a2_1(alpha, beta, scalars="complex")
+    phi_matrix = np.array([[1.0, -(b + c) / (2.0 * b)], [0.0, -(a + c) / (2.0 * b)]],
+                          dtype=complex)
+    worst = 0.0
+    for u in grid:
+        for w in grid:
+            z = np.array([u, w], dtype=complex)
+            phi_w = phi_matrix @ z
+            rhs = b * algebra.product(phi_w, phi_w)
+            lhs = np.array([b * z[0] * z[0] - (b + c) * z[0] * z[1],
+                            a * z[1] * z[1] - (a + c) * z[0] * z[1]])
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def test_billiards_residual_matches_the_grid_loop():
+    rng = np.random.default_rng(10)
+    custom = list(rng.uniform(-2, 2, 7) + 1j * rng.uniform(-2, 2, 7))
+    for _ in range(40):
+        a, b, c = rng.uniform(0.3, 2.5, 3) * rng.choice([-1.0, 1.0], 3)
+        try:
+            got = verify_billiards_algebrization(a, b, c).residual
+        except DegenerateParameters:
+            continue
+        assert float.hex(got) == float.hex(reference_billiards_residual(a, b, c, _COMPLEX_GRID))
+        assert (float.hex(verify_billiards_algebrization(a, b, c, grid=custom).residual)
+                == float.hex(reference_billiards_residual(a, b, c, custom)))
+
+
+def test_billiards_complex_eval_keeps_the_scalar_bits():
+    rng = np.random.default_rng(12)
+    field = billiards_field(1.7, -0.6, 0.9)
+    u = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    v = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    stacked = field.complex_eval(u, v)
+    assert stacked.shape == (50, 2)
+    for i in range(50):
+        x, y = u[i], v[i]
+        a, b, c = field.a, field.b, field.c
+        assert np.array_equal(stacked[i], [b * x * x - (b + c) * x * y, a * y * y - (a + c) * x * y])
+        assert np.array_equal(field.complex_eval(x, y), stacked[i])

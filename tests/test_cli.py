@@ -319,6 +319,13 @@ def test_huge_finite_input_fails_closed(capsys, argv):
     _assert_one_error_line(*run_cli(capsys, "--json", *argv))
 
 
+@pytest.mark.parametrize("family", ["trig", "hyperbolic"])
+def test_system451_overflowing_closed_form_is_input_error(capsys, family):
+    # a1 + a2 = 1e-12 passes the degeneracy guard, but then math.exp overflows
+    _assert_one_error_line(*run_cli(capsys, "--json", "pde", "system451",
+                                    "--params", "0,1e-12,0,1", "--family", family))
+
+
 def test_algebrize_oversized_grid_is_input_error_before_allocation(capsys):
     # a 40001^2 grid would take about 12 GiB; the cap refuses it up front
     tracemalloc.start()

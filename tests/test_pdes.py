@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from phialg.algebra import algebra_a2_1
 from phialg.calculus import phi_polynomial, phi_reciprocal_power
-from phialg.errors import B1Zero, ConditionViolated, DegenerateParameters, DeltaZeroInconsistent
+from phialg.errors import (B1Zero, ConditionViolated, DegenerateParameters,
+                           DeltaZeroInconsistent, PhialgError)
 from phialg.maps import SmoothMap, fd_partial, fd_step, worst_of
 from phialg.pdes import (
     FIRST_ORDER_STEP,
@@ -93,7 +94,7 @@ def _outcome(residual, *args, **kwargs):
     """The residual's bits, or the type of the exception it raises."""
     try:
         return float.hex(residual(*args, **kwargs))
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError, PhialgError) as exc:
         return type(exc).__name__
 
 
@@ -160,6 +161,30 @@ def test_fields_are_evaluated_once_per_distinct_stencil_point(rng):
     sol.y = _counting(sol.y, calls)  # sol.fields calls y exactly once
     sol.residual(1.0, 1.0, 1.0, 1.0, pts)
     assert len(calls) == 5 * len(pts)  # both equations share pt and its four neighbours
+
+
+def _counting_map(func, calls, broadcasts):
+    """A SmoothMap R^2 -> R^2 that records the points each evaluation gets."""
+    def counted(u):
+        calls.append(np.array(u))
+        return func(u)
+
+    return SmoothMap(2, 2, counted, name="counted", broadcasts=broadcasts)
+
+
+@pytest.mark.parametrize("count", [1, 7, 20])
+def test_broadcasting_fields_take_one_batch_call_per_stencil_offset(count):
+    alg = algebra_a2_1(0.3, -0.2)
+    pde = FirstOrderPDE(a=1.3, b=-0.7, c=0.4, d=2.1)
+    fn = phi_polynomial([alg.zero(), alg.zero(), alg.unit], first_order_phi(pde, 0.3, -0.2), alg)
+    pts = _points(np.random.default_rng(count), count=count)
+    calls = []
+    pde.residual(_counting_map(fn.batch, calls, broadcasts=True), pts)
+    assert [c.shape for c in calls] == [(count, 2)] * 4  # pt +- h e_x, pt +- h e_y
+
+    calls = []
+    pde.residual(_counting_map(fn, calls, broadcasts=False), pts)
+    assert len(calls) == 4 * count and all(c.shape == (2,) for c in calls)
 
 
 def test_system451_residual_is_nan_when_only_the_second_equation_is():
