@@ -27,6 +27,32 @@ from .errors import (
 ASSOC_TOL = 1e-12
 SINGULAR_RTOL = 1e-12
 INVERSE_RTOL = 1e-10
+# the factor by which a proven smin/smax must clear SINGULAR_RTOL to skip the SVD
+INVERSE_MARGIN = 1e3
+
+
+def _clears_margin(r):
+    """Where the (..., n, n) matrices r provably have smin/smax >= INVERSE_MARGIN * SINGULAR_RTOL.
+
+    With t = r / max|r_ij|, every |t_ij| <= 1, so smax(t) <= ||t||_F <= n,
+    and |det t| = s_1 ... s_n <= smin * smax^(n-1).  Hence
+    smin/smax >= |det t| / smax^n >= |det t| / n^n, a bound that needs no
+    SVD and holds for any matrix, whether or not the algebra was validated.
+    The division by the largest entry keeps det from overflowing or
+    underflowing.  Its rounding, and that of the LU factorization behind
+    ``det``, perturb t by O(n^2 eps) in norm, 1e5 times below the margin.  A
+    zero matrix gives 0/0 and a non-finite one nan entries; both fail.
+    """
+    n = r.shape[-1]
+    with np.errstate(all="ignore"):
+        t = r / np.abs(r).max(axis=(-2, -1), keepdims=True)
+        return np.abs(np.linalg.det(t)) >= n ** n * INVERSE_MARGIN * SINGULAR_RTOL
+
+
+def _svd_regular(r):
+    """Whether every matrix of the (m, n, n) stack r passes the SVD rule of ``inverse``."""
+    s = np.linalg.svd(r, compute_uv=False)
+    return bool((s[..., 0] != 0.0).all() and (s[..., -1] >= SINGULAR_RTOL * s[..., 0]).all())
 
 
 class Algebra:
@@ -140,21 +166,32 @@ class Algebra:
     def inverse(self, a):
         """The element b with a b = e; raises SingularElement on the singular set.
 
-        A stack is inverted with one batched SVD and solve.  When any element
-        of it is singular or not finite, the stack is inverted one element at
+        The rule: a is singular when the singular values of rep(a) have
+        smax = 0 or smin < SINGULAR_RTOL * smax.  The answer is always
+        ``np.linalg.solve(rep(a), e)``, one batched solve for a stack.
+
+        The SVD that decides the rule runs only on the elements that
+        ``_clears_margin`` cannot vouch for: those without a proven
+        smin/smax >= INVERSE_MARGIN * SINGULAR_RTOL.  An element that clears
+        the margin passes the rule: its true ratio is at least 1e-9 less a
+        rounding error of order 1e-14, and the computed singular values are
+        off by at most a few ulps of smax, so the computed ratio is far above
+        1e-12.  The decision is therefore the SVD's own.
+
+        For a stack, the doubtful elements get one batched SVD.  When any of
+        them is singular or not finite, the stack is inverted one element at
         a time instead, so the first such element raises what it raises alone.
         """
         a = np.asarray(a)
         r = self.rep(a)
-        if a.ndim > 1:
-            if np.isfinite(r).all():
+        doubtful = r[~_clears_margin(r)]  # (count, n, n), also for one element
+        if len(doubtful):
+            if a.ndim == 1:
                 s = np.linalg.svd(r, compute_uv=False)
-                if (s[..., 0] != 0.0).all() and (s[..., -1] >= SINGULAR_RTOL * s[..., 0]).all():
-                    return np.linalg.solve(r, self.unit)
-            return np.stack([self.inverse(x) for x in a.reshape(-1, self.dim)]).reshape(a.shape)
-        s = np.linalg.svd(r, compute_uv=False)
-        if s[0] == 0.0 or s[-1] < SINGULAR_RTOL * s[0]:
-            raise SingularElement(f"element {a} is singular (smin/smax={s[-1]:.2e}/{s[0]:.2e})")
+                if s[0] == 0.0 or s[-1] < SINGULAR_RTOL * s[0]:
+                    raise SingularElement(f"element {a} is singular (smin/smax={s[-1]:.2e}/{s[0]:.2e})")
+            elif not (np.isfinite(doubtful).all() and _svd_regular(doubtful)):
+                return np.stack([self.inverse(x) for x in a.reshape(-1, self.dim)]).reshape(a.shape)
         return np.linalg.solve(r, self.unit)
 
     def power(self, a, m):

@@ -44,14 +44,29 @@ def phi_derivative(f, phi, algebra, u):
     Stacks the n*k linear equations df_u = rep(g) dphi_u for the n unknowns g.
     When the stacked matrix is rank deficient (dphi_u lands in the singular
     set) the minimum-norm solution is returned with unique=False.
+
+    ``u`` is one point, shape (k,), or an (m, k) stack of points.  A stack
+    takes one ``batch_jacobian`` call per map and one ``rep`` call; the
+    least-squares solve and the norms stay per point, so every point gets the
+    bits of its own single-point call.  The report then holds arrays: the
+    derivatives (m, n), the residuals (m,) and the uniqueness flags (m,).
     """
     _check_shapes(f, phi, algebra)
     u = np.asarray(u, dtype=float)
-    jf = f.jacobian(u)
-    jphi = phi.jacobian(u)
-    blocks = [algebra.rep(jphi[:, i]) for i in range(phi.k)]
-    system = np.vstack(blocks)
-    rhs = jf.T.reshape(-1)
+    jf = f.batch_jacobian(u)
+    jphi = phi.batch_jacobian(u)
+    # the system of each point: the k blocks rep(dphi_u e_i), one under the other
+    systems = algebra.rep(np.swapaxes(jphi, -1, -2)).reshape(u.shape[:-1] + (-1, algebra.dim))
+    rhs = np.swapaxes(jf, -1, -2).reshape(u.shape[:-1] + (-1,))
+    if u.ndim == 1:
+        return _least_squares_derivative(systems, rhs, jf)
+    reports = [_least_squares_derivative(*point) for point in zip(systems, rhs, jf)]
+    return DiffReport(derivative=np.array([r.derivative for r in reports]).reshape(-1, algebra.dim),
+                      residual=np.array([r.residual for r in reports]),
+                      unique=np.array([r.unique for r in reports], dtype=bool))
+
+
+def _least_squares_derivative(system, rhs, jf):
     g, _, rank, svals = np.linalg.lstsq(system, rhs, rcond=None)
     unique = bool(svals.size and svals[-1] > UNIQUE_RTOL * max(svals[0], 1.0))
     residual = float(np.linalg.norm(system @ g - rhs)) / (1.0 + float(np.linalg.norm(jf)))

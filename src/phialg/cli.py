@@ -77,10 +77,33 @@ def _open_named(path, mode="r"):
 
 
 def _emit(args, payload, human):
+    """Print the payload as JSON (``--json``) or the human line; returns the
+    exit code, PASS exactly when the printed payload has ``"pass": true``.
+
+    JSON has no nan or inf.  With ``--json``, a payload that holds one is
+    printed with each non-finite number as null and ``"pass": false``.
+    """
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:  # a nan or an inf in the payload
+            payload = {**_null_non_finite(payload), "pass": False}
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        print(text)
     else:
         print(human)
+    return PASS if payload["pass"] else FAIL
+
+
+def _null_non_finite(value):
+    """``value`` with every nan and inf float in its dicts and lists replaced by None."""
+    if isinstance(value, dict):
+        return {key: _null_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_non_finite(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _catalog_function(name, phi, algebra):
@@ -136,20 +159,18 @@ def cmd_algebra(args):
             data = json.load(fh)
         alg = Algebra.from_dict(data)  # raises on axiom violations
         defect, _ = alg.associativity_defect()
-        _emit(args, {"command": "algebra verify", "file": args.file, "dim": alg.dim,
-                     "scalars": alg.scalars, "associativity_defect": defect, "pass": True},
-              f"valid {alg.dim}-dimensional {alg.scalars} algebra "
-              f"(associativity defect {defect:.2e})")
-        return PASS
+        return _emit(args, {"command": "algebra verify", "file": args.file, "dim": alg.dim,
+                            "scalars": alg.scalars, "associativity_defect": defect, "pass": True},
+                     f"valid {alg.dim}-dimensional {alg.scalars} algebra "
+                     f"(associativity defect {defect:.2e})")
     if args.action == "build":
         alg = build_algebra(args.family if not args.params else f"{args.family}:{args.params}")
         data = alg.to_dict()
         if args.out:
             with _open_named(args.out, "w") as fh:
                 json.dump(data, fh, indent=2, sort_keys=True)
-        _emit(args, {"command": "algebra build", "algebra": data, "pass": True},
-              f"built {alg!r}" + (f" -> {args.out}" if args.out else ""))
-        return PASS
+        return _emit(args, {"command": "algebra build", "algebra": data, "pass": True},
+                     f"built {alg!r}" + (f" -> {args.out}" if args.out else ""))
     raise KeyError(args.action)
 
 
@@ -161,17 +182,15 @@ def cmd_cre(args):
         payload = {"command": "cre emit", "algebra": args.algebra, "phi": args.phi,
                    "system": system.to_json() if system.constant else "position-dependent",
                    "pass": True}
-        _emit(args, payload, system.to_latex())
-        return PASS
+        return _emit(args, payload, system.to_latex())
     if args.action == "recover":
         with _open_named(args.file) as fh:
             system = TwoPDESystem.from_json(json.load(fh))
         try:
             rec = recover_phi_algebra(system)
         except NoMatch as exc:
-            _emit(args, {"command": "cre recover", "pass": False, "stage": exc.stage},
-                  f"no match: {exc}")
-            return FAIL
+            return _emit(args, {"command": "cre recover", "pass": False, "stage": exc.stage},
+                         f"no match: {exc}")
         payload = {
             "command": "cre recover",
             "case": rec.case,
@@ -183,10 +202,9 @@ def cmd_cre(args):
         }
         note = ("; nonhomogeneous input: add a particular solution to these"
                 " homogeneous solutions" if rec.needs_particular_solution else "")
-        _emit(args, payload,
-              f"case {rec.case}, params {rec.params}, "
-              f"potentials {rec.potential_coeffs.tolist()}{note}")
-        return PASS
+        return _emit(args, payload,
+                     f"case {rec.case}, params {rec.params}, "
+                     f"potentials {rec.potential_coeffs.tolist()}{note}")
     if args.action == "equiv":
         with _open_named(args.s1) as fh:
             s1 = TwoPDESystem.from_json(json.load(fh))
@@ -196,13 +214,11 @@ def cmd_cre(args):
         try:
             eq = find_equivalence_matrix(s1, s2, points)
         except NotEquivalent as exc:
-            _emit(args, {"command": "cre equiv", "pass": False, "reason": str(exc)},
-                  f"not equivalent: {exc}")
-            return FAIL
-        _emit(args, {"command": "cre equiv", "pass": True,
-                     "matrices": [m.tolist() for m in eq.matrices]},
-              "equivalent; sample transformation " + str(eq.matrices[0].tolist()))
-        return PASS
+            return _emit(args, {"command": "cre equiv", "pass": False, "reason": str(exc)},
+                         f"not equivalent: {exc}")
+        return _emit(args, {"command": "cre equiv", "pass": True,
+                            "matrices": [m.tolist() for m in eq.matrices]},
+                     "equivalent; sample transformation " + str(eq.matrices[0].tolist()))
     raise KeyError(args.action)
 
 
@@ -231,8 +247,7 @@ def cmd_algebrize(args):
         f"{w.case} params={tuple(float(round(p, 10)) for p in w.params)} residual={w.residual:.2e}"
         for w in witnesses
     ) or "no witness found in the search box"
-    _emit(args, payload, human)
-    return PASS if witnesses else FAIL
+    return _emit(args, payload, human)
 
 
 def cmd_billiards(args):
@@ -249,10 +264,9 @@ def cmd_billiards(args):
         "det_m4": rep.det_m4,
         "pass": bool(ok),
     }
-    _emit(args, payload,
-          f"alpha={rep.alpha:.12g} beta={rep.beta:.12g} residual={rep.residual:.3e} "
-          f"({'PASS' if ok else 'FAIL'})")
-    return PASS if ok else FAIL
+    return _emit(args, payload,
+                 f"alpha={rep.alpha:.12g} beta={rep.beta:.12g} residual={rep.residual:.3e} "
+                 f"({'PASS' if ok else 'FAIL'})")
 
 
 def cmd_integrate(args):
@@ -270,14 +284,12 @@ def cmd_integrate(args):
         payload = {"command": "integrate", "ladder": report.segments,
                    "magnitudes": report.magnitudes, "orders": report.orders,
                    "converged_at_floor": report.converged_at_floor, "pass": bool(ok)}
-        _emit(args, payload,
-              f"loop magnitudes {['%.3e' % m for m in report.magnitudes]} "
-              f"({'PASS' if ok else 'FAIL'})")
-        return PASS if ok else FAIL
+        return _emit(args, payload,
+                     f"loop magnitudes {['%.3e' % m for m in report.magnitudes]} "
+                     f"({'PASS' if ok else 'FAIL'})")
     value = line_integral(f, phi, alg, path, segments=args.N)
     payload = {"command": "integrate", "value": np.asarray(value).tolist(), "pass": True}
-    _emit(args, payload, f"integral = {np.asarray(value).tolist()}")
-    return PASS
+    return _emit(args, payload, f"integral = {np.asarray(value).tolist()}")
 
 
 def cmd_ode(args):
@@ -298,14 +310,16 @@ def cmd_ode(args):
     elif args.family == "exp":
         sol = solve_exponential(phi, alg, C)
     elif args.family == "picard":
-        res = picard(lambda w: w, phi, alg, C,
+        # a SmoothMap has real values, so a complex-scalar algebra keeps the plain callable
+        field = (SmoothMap(alg.dim, alg.dim, lambda w: w, name="w", broadcasts=True)
+                 if alg.scalars == "real" else (lambda w: w))
+        res = picard(field, phi, alg, C,
                      Path.segment([0.0] * phi.k, [hi] + [0.0] * (phi.k - 1), segments=128))
         payload = {"command": "ode picard", "iterations": res.iterations,
                    "final": res.value_at_end().tolist(),
                    "history": res.history, "pass": True}
-        _emit(args, payload,
-              f"fixed point after {res.iterations} iterations; w(end) = {res.value_at_end().tolist()}")
-        return PASS
+        return _emit(args, payload, f"fixed point after {res.iterations} iterations; "
+                                    f"w(end) = {res.value_at_end().tolist()}")
     else:
         raise KeyError(args.family)
     samples = sol.samples(grid)
@@ -317,10 +331,9 @@ def cmd_ode(args):
                     for t, w in zip(samples.taus, samples.values)],
         "pass": bool(ok),
     }
-    _emit(args, payload,
-          f"max residual {samples.max_residual:.3e} over {len(grid)} points "
-          f"({'PASS' if ok else 'FAIL'})")
-    return PASS if ok else FAIL
+    return _emit(args, payload,
+                 f"max residual {samples.max_residual:.3e} over {len(grid)} points "
+                 f"({'PASS' if ok else 'FAIL'})")
 
 
 def cmd_pde(args):
@@ -340,8 +353,7 @@ def cmd_pde(args):
                    "residual": residual,
                    "oracle_checks": {"fd_substitution_points": len(pts)},
                    "pass": bool(ok)}
-        _emit(args, payload, f"phi = {phi.matrix.tolist()}, residual {residual:.3e}")
-        return PASS if ok else FAIL
+        return _emit(args, payload, f"phi = {phi.matrix.tolist()}, residual {residual:.3e}")
     if args.kind == "system451":
         a1, a2, b1, b2 = _floats(args.params)
         c1, c2 = _floats(args.c) if args.c else (1.0, 0.0)
@@ -353,8 +365,7 @@ def cmd_pde(args):
                    "residual": residual,
                    "oracle_checks": {"fd_substitution_points": len(pts)},
                    "pass": bool(ok)}
-        _emit(args, payload, f"{args.family} family residual {residual:.3e}")
-        return PASS if ok else FAIL
+        return _emit(args, payload, f"{args.family} family residual {residual:.3e}")
     if args.kind == "second-order":
         A, B, C, D, E = _floats(args.coeffs)
         p1, p2 = _floats(args.p) if args.p else (0.0, 0.0)
@@ -366,10 +377,9 @@ def cmd_pde(args):
                    "residual": sol.residual,
                    "oracle_checks": {"flagged_above_1e-4": sol.flagged},
                    "pass": not sol.flagged}
-        _emit(args, payload,
-              f"u = {sol.amplitude:.6g} exp({sol.a:.6g} x + {sol.b:.6g} y), "
-              f"residual {sol.residual:.3e}" + (" FLAGGED" if sol.flagged else ""))
-        return PASS if not sol.flagged else FAIL
+        return _emit(args, payload,
+                     f"u = {sol.amplitude:.6g} exp({sol.a:.6g} x + {sol.b:.6g} y), "
+                     f"residual {sol.residual:.3e}" + (" FLAGGED" if sol.flagged else ""))
     if args.kind == "heat":
         p = tuple(_floats(args.p))
         hp = HeatProblem(alpha=args.alpha, p=p, amplitude=args.amplitude)
@@ -381,10 +391,9 @@ def cmd_pde(args):
                    "oracle_checks": {"diagnostic": sol.diagnostic,
                                      "flagged_above_1e-4": sol.flagged},
                    "pass": not sol.flagged}
-        _emit(args, payload,
-              f"exponents {sol.b.tolist()}, residual {sol.residual:.3e}, "
-              f"diagnostic {sol.diagnostic:.3e}" + (" FLAGGED" if sol.flagged else ""))
-        return PASS if not sol.flagged else FAIL
+        return _emit(args, payload,
+                     f"exponents {sol.b.tolist()}, residual {sol.residual:.3e}, "
+                     f"diagnostic {sol.diagnostic:.3e}" + (" FLAGGED" if sol.flagged else ""))
     raise KeyError(args.kind)
 
 
@@ -392,10 +401,9 @@ def cmd_paper_examples(args):
     start = time.perf_counter()
     rows = paper_examples.run_all(seed=args.seed)
     passed = all(r.passed for r in rows)
-    _emit(args, {"command": "paper-examples", "checks": [r.as_dict() for r in rows],
-                 "pass": passed},
-          f"{paper_examples.format_table(rows)}\n(ran in {time.perf_counter() - start:.3f}s)")
-    return PASS if passed else FAIL
+    return _emit(args, {"command": "paper-examples", "checks": [r.as_dict() for r in rows],
+                        "pass": passed},
+                 f"{paper_examples.format_table(rows)}\n(ran in {time.perf_counter() - start:.3f}s)")
 
 
 # -- parser ---------------------------------------------------------------------

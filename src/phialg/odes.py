@@ -238,8 +238,10 @@ def picard(F, phi, algebra, w0, path, tol=1e-10, max_iter=60):
     F must be differentiable with respect to the algebra on a region the
     iterates stay inside (caller-asserted), and the path short enough for
     contraction.  Raises NoConvergence with the recorded history when the
-    iteration cap is hit.  F is called once per node; the products with
-    dphi take one batched call per iteration.
+    iteration cap is hit.  A ``SmoothMap`` F is evaluated at all the nodes by
+    ``F.batch``, one call per iteration when it broadcasts; a plain callable
+    is called once per node through ``each``.  Both give the same bits.  The
+    products with dphi take one batched call per iteration.
     """
     w0 = algebra.element(w0)
     nodes = path.segments
@@ -250,9 +252,10 @@ def picard(F, phi, algebra, w0, path, tol=1e-10, max_iter=60):
     h = path.t1 / nodes
 
     current = np.tile(w0, (len(ts), 1)).astype(np.result_type(w0, dphi))
+    evaluate = F.batch if isinstance(F, SmoothMap) else (lambda ws: each(F, ws))
     history = []
     for iteration in range(1, max_iter + 1):
-        integrand = algebra.product(each(F, current), dphi)
+        integrand = algebra.product(evaluate(current), dphi)
         nxt = w0 + _cumulative_integral(integrand, h)
         diff = float(np.abs(nxt - current).max())
         history.append(diff)

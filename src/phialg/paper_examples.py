@@ -150,13 +150,12 @@ def _derivative_checks(rng):
     rows = []
     errors = []
     for fam in default_families():
-        f_phi = fam.functions["phi"]
-        for _ in range(10):
-            u = fam.sample(rng)
-            report = phi_derivative(f_phi, fam.phi, fam.algebra, u)
-            errors.append(report.residual)
-            if report.unique:
-                errors.append(float(np.abs(report.derivative - fam.algebra.unit).max()))
+        points = np.array([fam.sample(rng) for _ in range(10)])
+        report = phi_derivative(fam.functions["phi"], fam.phi, fam.algebra, points)
+        for g, residual, unique in zip(report.derivative, report.residual, report.unique):
+            errors.append(float(residual))
+            if unique:
+                errors.append(float(np.abs(g - fam.algebra.unit).max()))
     rows.append(_row("derivative of the reference map is the unit", worst_of(errors), 1e-8))
 
     degenerate = algebra_a3_1((0.0,) * 6)
@@ -272,7 +271,8 @@ def _ode_checks(rng):
     grid2 = [rng.uniform(-0.8, 0.8, 2) for _ in range(8)]
     rows.append(_row("ode: exponential solution", sol3.samples(grid2).max_residual, 1e-6))
 
-    res = picard(lambda w: w, SmoothMap.identity(2), c, np.array([1.0, 0.0]),
+    ident_field = SmoothMap(2, 2, lambda w: w, name="w", broadcasts=True)
+    res = picard(ident_field, SmoothMap.identity(2), c, np.array([1.0, 0.0]),
                  Path.segment([0.0, 0.0], [1.0, 0.0], segments=128))
     err = np.abs(res.value_at_end() - np.array([np.e, 0.0])).max()
     rows.append(_row("ode: fixed-point iteration reaches exp", err, 1e-8))

@@ -33,6 +33,17 @@ def _require_finite(what, *values):
         raise DegenerateParameters(f"{what} parameters must be finite, got {values}")
 
 
+def _overflow(what, coords, point):
+    """The error for a closed form whose ``math.exp`` (or ``math.cosh``) overflows.
+
+    Those raise OverflowError instead of giving inf, so each closed form turns
+    it into this input error, which names the point.
+    """
+    return DegenerateParameters(
+        f"{what} closed form overflows at {coords} = {np.asarray(point).tolist()}: "
+        "its exponents are too large for these parameters")
+
+
 # -- generic finite-difference residual ----------------------------------------
 
 
@@ -154,10 +165,8 @@ class System451Solution:
     def fields(self, point):
         try:
             return np.array([self.y(point), self.z(point)])
-        except OverflowError:  # math.exp and math.cosh raise instead of giving inf
-            raise DegenerateParameters(
-                f"system451 closed form overflows at (x, t) = {np.asarray(point).tolist()}: "
-                "its exponents are too large for these parameters") from None
+        except OverflowError:
+            raise _overflow("system451", "(x, t)", point) from None
 
     def residual(self, a1, a2, b1, b2, points):
         # a1 y_x + y_t + b1 y - b1 z = 0 ; -a2 z_x + z_t - b2 y + b2 z = 0
@@ -298,7 +307,10 @@ def second_order_solution(pde, alpha, beta, check_points=None):
 
     def u(pt):
         x, y = pt
-        return amplitude * math.exp(a * x + b * y)
+        try:
+            return amplitude * math.exp(a * x + b * y)
+        except OverflowError:
+            raise _overflow("second-order", "(x, y)", pt) from None
 
     pts = check_points if check_points is not None else _default_grid()
     residual = pde.residual(u, pts)
@@ -411,7 +423,10 @@ def heat_solution(hp, check_points=None):
     exponent = b.copy()
 
     def u(pt):
-        return amplitude * math.exp(float(np.dot(exponent, pt)))
+        try:
+            return amplitude * math.exp(float(np.dot(exponent, pt)))
+        except OverflowError:
+            raise _overflow("heat", "(t, x, y, z)", pt) from None
 
     diagnostic = hp.alpha * float(np.dot(b[1:], b[1:])) - b[0]
     pts = check_points if check_points is not None else _heat_grid()

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phialg.algebra import (
+    SINGULAR_RTOL,
     Algebra,
     a3_1_dependent_params,
     algebra_a2_1,
@@ -17,6 +20,7 @@ from phialg.algebra import (
     algebra_a3_1,
     complex_algebra,
 )
+from phialg.catalog import default_families
 from phialg.errors import (
     AssociativityViolation,
     DegenerateParameters,
@@ -193,6 +197,88 @@ def test_inverse_random_property(rng, families):
             inv = alg.inverse(a)
             tol = 1e-10 * max(1.0, alg.norm(a) * alg.norm(inv))
             npt.assert_allclose(alg.product(a, inv), alg.unit, atol=tol)
+
+
+def svd_rule_inverse(alg, a):
+    """``Algebra.inverse`` as it was before the margin: an SVD of every element."""
+    a = np.asarray(a)
+    r = alg.rep(a)
+    if a.ndim > 1:
+        if np.isfinite(r).all():
+            s = np.linalg.svd(r, compute_uv=False)
+            if (s[..., 0] != 0.0).all() and (s[..., -1] >= SINGULAR_RTOL * s[..., 0]).all():
+                return np.linalg.solve(r, alg.unit)
+        return np.stack([svd_rule_inverse(alg, x) for x in a.reshape(-1, alg.dim)]).reshape(a.shape)
+    s = np.linalg.svd(r, compute_uv=False)
+    if s[0] == 0.0 or s[-1] < SINGULAR_RTOL * s[0]:
+        raise SingularElement(f"element {a} is singular (smin/smax={s[-1]:.2e}/{s[0]:.2e})")
+    return np.linalg.solve(r, alg.unit)
+
+
+def _unchecked_algebra():
+    """Random structure constants, never validated: rep(a)^-1 need not be rep(a^-1)."""
+    c = np.random.default_rng(3).standard_normal((3, 3, 3))
+    return Algebra(c, [1.0, 0.0, 0.0], name="unchecked", check=False)
+
+
+INVERSE_ALGEBRAS = list({id(f.algebra): f.algebra for f in default_families()}.values()) + [
+    algebra_a2_12(), algebra_a2_1(0.3, -0.2, scalars="complex"), _unchecked_algebra()]
+
+
+def _outcome(inverse, alg, a):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = inverse(alg, a)
+            result = ("value", value.dtype.str, value.shape, value.tobytes())
+        except Exception as exc:  # noqa: BLE001 - the type and message are compared
+            result = (type(exc).__name__, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def _element(alg, draw):
+    """An element: plain, near-singular, zero, scaled by 1e+-150, or with a non-finite entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = alg.random_element(rng)
+    kind = draw(st.sampled_from(["plain"] * 3 + ["near-singular"] * 4 + ["scaled"] * 2
+                                + ["zero", "non-finite"]))
+    if kind == "near-singular":
+        # a root s0 of det(rep(x + s y)) = 0 on the line through x along y, then
+        # x + (s0 + t) y with |t| = 10^k |s0|: smin/smax reaches about 1e-14 to 1e-6
+        y = alg.random_element(rng)
+        roots = np.linalg.eigvals(-np.linalg.solve(alg.rep(y), alg.rep(x)))
+        if alg.scalars == "real":
+            roots = roots[roots.imag == 0].real
+        if roots.size:
+            s0 = roots[draw(st.integers(0, roots.size - 1))]
+            t = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-16.0, -5.0)) * abs(s0)
+            x = x + (s0 + t) * y
+    elif kind == "zero":
+        x = np.zeros_like(x)
+    elif kind == "scaled":
+        x = x * draw(st.sampled_from([1e-150, 1e150]))
+    elif kind == "non-finite":
+        x[draw(st.integers(0, alg.dim - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return x
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_inverse_matches_the_svd_rule_bit_for_bit(data):
+    """Same bits, same exception type and message, same warnings, for stacks and elements."""
+    alg = data.draw(st.sampled_from(INVERSE_ALGEBRAS))
+    stack = np.stack([_element(alg, data.draw) for _ in range(data.draw(st.integers(1, 6)))])
+    for a in (stack, *stack):
+        assert _outcome(Algebra.inverse, alg, a) == _outcome(svd_rule_inverse, alg, a)
+
+
+def test_inverse_margin_covers_both_sides_of_the_rule():
+    # elements on either side of SINGULAR_RTOL, and inside the margin, all decide as the SVD does
+    alg = algebra_a2_12()
+    for ratio in (1e-13, 0.99e-12, 1.01e-12, 1e-11, 1e-10, 1e-9, 1e-8):
+        stack = np.array([[1.0, ratio], [ratio, 1.0], [2.0, 3.0]])
+        for a in (stack, *stack):
+            assert _outcome(Algebra.inverse, alg, a) == _outcome(svd_rule_inverse, alg, a)
 
 
 def test_power_and_exp():

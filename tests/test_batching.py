@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from phialg import paper_examples
 from phialg.algebra import algebra_a2_1, algebra_a2_12, complex_algebra
-from phialg.calculus import _poly_eval, phi_polynomial, phi_reciprocal_power, poly_derivative_coeffs
+from phialg.calculus import (UNIQUE_RTOL, _poly_eval, phi_derivative, phi_polynomial,
+                             phi_reciprocal_power, poly_derivative_coeffs)
 from phialg.catalog import PHI_BUILDERS
 from phialg.errors import DegenerateParameters, SingularElement
 from phialg.integrals import Path, closed_loop_check, line_integral
@@ -554,3 +556,96 @@ def test_billiards_complex_eval_keeps_the_scalar_bits():
         a, b, c = field.a, field.b, field.c
         assert np.array_equal(stacked[i], [b * x * x - (b + c) * x * y, a * y * y - (a + c) * x * y])
         assert np.array_equal(field.complex_eval(x, y), stacked[i])
+
+
+def reference_phi_derivative(f, phi, algebra, u):
+    """The single-point solve as it was before points were stacked: k rep calls, vstack."""
+    jf = f.jacobian(u)
+    jphi = phi.jacobian(u)
+    system = np.vstack([algebra.rep(jphi[:, i]) for i in range(phi.k)])
+    rhs = jf.T.reshape(-1)
+    g, _, _, svals = np.linalg.lstsq(system, rhs, rcond=None)
+    unique = bool(svals.size and svals[-1] > UNIQUE_RTOL * max(svals[0], 1.0))
+    residual = float(np.linalg.norm(system @ g - rhs)) / (1.0 + float(np.linalg.norm(jf)))
+    return g, residual, unique
+
+
+def _hex(values):
+    return [float.hex(float(x)) for x in np.ravel(values)]
+
+
+def test_stacked_phi_derivative_matches_the_per_point_solve(families):
+    rng = np.random.default_rng(12)
+    for fam in families:
+        points = np.array([fam.sample(rng) for _ in range(7)])
+        for name, f in fam.functions.items():
+            stacked = phi_derivative(f, fam.phi, fam.algebra, points)
+            assert stacked.derivative.shape == (7, fam.algebra.dim)
+            assert stacked.residual.shape == stacked.unique.shape == (7,)
+            for i, u in enumerate(points):
+                g, residual, unique = reference_phi_derivative(f, fam.phi, fam.algebra, u)
+                single = phi_derivative(f, fam.phi, fam.algebra, u)
+                for got in (single, phi_derivative(f, fam.phi, fam.algebra, points[i:i + 1])):
+                    got_g, got_res, got_unique = (np.ravel(got.derivative), got.residual, got.unique)
+                    assert _hex(got_g) == _hex(g), (fam.name, name)
+                    assert _hex(got_res) == _hex(residual) and bool(got_unique) == unique
+                assert _hex(stacked.derivative[i]) == _hex(g), (fam.name, name, i)
+                assert float.hex(float(stacked.residual[i])) == float.hex(residual)
+                assert bool(stacked.unique[i]) == unique
+                assert type(single.residual) is float and type(single.unique) is bool
+
+
+def test_stacked_phi_derivative_evaluates_each_jacobian_and_rep_once(monkeypatch):
+    alg = algebra_a2_1(0.7, -0.4)
+    phi = SmoothMap.linear([[1.0, 0.5], [-0.3, 1.2]])
+    f = SmoothMap.linear([[2.0, 0.1], [0.3, -1.0]])  # linear maps make no nested calls
+    calls = []
+    for owner, name in ((SmoothMap, "batch_jacobian"), (SmoothMap, "jacobian"), (type(alg), "rep")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, x, real=real, name=name:
+                            calls.append(name) or real(self, x))
+    report = phi_derivative(f, phi, alg, np.random.default_rng(3).standard_normal((9, 2)))
+    assert report.derivative.shape == (9, 2)
+    assert sorted(calls) == ["batch_jacobian", "batch_jacobian", "rep"]
+
+
+def test_derivative_checks_make_one_stacked_call_per_family(families, monkeypatch):
+    shapes = []
+    real = paper_examples.phi_derivative
+    monkeypatch.setattr(paper_examples, "phi_derivative",
+                        lambda f, phi, alg, u: shapes.append(np.shape(u)) or real(f, phi, alg, u))
+    paper_examples._derivative_checks(np.random.default_rng(0))
+    # 11 families of 10 points each, then the counterexample at its one point
+    assert len(families) == 11
+    assert shapes == [(10, fam.phi.k) for fam in families] + [(2,)]
+
+
+def test_picard_with_a_broadcasting_field_matches_the_plain_callable(families):
+    for fam in families:
+        if not fam.name.startswith("complex-"):
+            continue
+        alg = fam.algebra
+        u0 = fam.sample(np.random.default_rng(2))
+        path = Path.segment(u0, u0 + 0.2 / np.sqrt(fam.phi.k), segments=64)
+        w0 = np.array([0.4, 0.2])
+        square = phi_polynomial([alg.zero(), alg.zero(), alg.unit], SmoothMap.identity(2), alg)
+        for field, plain in ((SmoothMap(2, 2, lambda w: w, broadcasts=True), lambda w: w),
+                             (square, lambda w, sq=square: sq(w))):
+            assert field.broadcasts
+            got, want = picard(field, fam.phi, alg, w0, path), picard(plain, fam.phi, alg, w0, path)
+            assert got.iterations == want.iterations, fam.name
+            assert np.array_equal(got.taus, want.taus) and np.array_equal(got.values, want.values)
+            assert [float.hex(h) for h in got.history] == [float.hex(h) for h in want.history]
+
+
+def test_picard_evaluates_a_broadcasting_field_once_per_iteration():
+    c = complex_algebra()
+    calls = []
+
+    def ident(w):
+        calls.append(np.shape(w))
+        return w
+
+    res = picard(SmoothMap(2, 2, ident, broadcasts=True), SmoothMap.identity(2), c,
+                 np.array([1.0, 0.0]), Path.segment([0.0, 0.0], [1.0, 0.0], segments=128))
+    assert calls == [(129, 2)] * res.iterations

@@ -326,6 +326,39 @@ def test_system451_overflowing_closed_form_is_input_error(capsys, family):
                                     "--params", "0,1e-12,0,1", "--family", family))
 
 
+@pytest.mark.parametrize("argv", [
+    ["pde", "heat", "--alpha", "1e-7", "--p", "1e-3,0,0,0,0,0"],
+    ["pde", "second-order", "--coeffs", "1,1e8,1e-7,1e8,1e-7", "--alpha", "1e300",
+     "--beta", "1e150"],
+])
+def test_overflowing_pde_closed_form_is_input_error(capsys, argv):
+    # the exponent passes every parameter check, then math.exp overflows at a residual point
+    result = run_cli(capsys, "--json", *argv)
+    _assert_one_error_line(*result)
+    assert "closed form overflows at" in result[2]
+
+
+def test_nan_residual_prints_null_and_fails_under_json(capsys):
+    argv = ["pde", "first-order", "--coeffs", "1e300,1e300,1,1", "--alpha", "0.2", "--beta", "0.3"]
+    code, out, err = run_cli(capsys, "--json", *argv)
+    payload = json.loads(out)
+    assert (code, err) == (1, "")
+    assert payload["residual"] is None and payload["pass"] is False
+    assert payload["solution_params"]["phi_matrix"][0] == [1.0, 1e300]
+    # the plain run reports the same failure
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and "residual nan" in out
+
+
+def test_non_finite_value_of_a_passing_payload_fails_under_json(capsys):
+    # phi^3 along a segment of length 1e200 overflows; the payload said "pass": true
+    code, out, err = run_cli(capsys, "--json", "integrate", "--loop",
+                             "segment:x0=0,y0=0,x1=1e200,y1=0", "--f", "phi^3",
+                             "--phi", "swap", "--algebra", "C", "--N", "8")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"command": "integrate", "pass": False, "value": [None, None]}
+
+
 def test_algebrize_oversized_grid_is_input_error_before_allocation(capsys):
     # a 40001^2 grid would take about 12 GiB; the cap refuses it up front
     tracemalloc.start()
