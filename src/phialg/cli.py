@@ -77,11 +77,12 @@ def _open_named(path, mode="r"):
 
 
 def _emit(args, payload, human):
-    """Print the payload as JSON (``--json``) or the human line; returns the
-    exit code, PASS exactly when the printed payload has ``"pass": true``.
+    """Print the payload as JSON (``--json``) or the human line, and return
+    the exit code: PASS when the payload's ``"pass"`` is true, else FAIL.
 
     JSON has no nan or inf.  With ``--json``, a payload that holds one is
-    printed with each non-finite number as null and ``"pass": false``.
+    printed with each non-finite number as null and ``"pass": false``, and
+    so fails.
     """
     if args.json:
         try:
