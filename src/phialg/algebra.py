@@ -181,8 +181,14 @@ class Algebra:
         For a stack, the doubtful elements get one batched SVD.  When any of
         them is singular or not finite, the stack is inverted one element at
         a time instead, so the first such element raises what it raises alone.
+        An element that is not finite raises SingularElement before rep or
+        any SVD, which would not converge on it.
         """
         a = np.asarray(a)
+        if not np.isfinite(a).all():
+            if a.ndim == 1:
+                raise SingularElement(f"element {a} is not finite")
+            return self._inverse_each(a)
         r = self.rep(a)
         doubtful = r[~_clears_margin(r)]  # (count, n, n), also for one element
         if len(doubtful):
@@ -191,8 +197,11 @@ class Algebra:
                 if s[0] == 0.0 or s[-1] < SINGULAR_RTOL * s[0]:
                     raise SingularElement(f"element {a} is singular (smin/smax={s[-1]:.2e}/{s[0]:.2e})")
             elif not (np.isfinite(doubtful).all() and _svd_regular(doubtful)):
-                return np.stack([self.inverse(x) for x in a.reshape(-1, self.dim)]).reshape(a.shape)
+                return self._inverse_each(a)
         return np.linalg.solve(r, self.unit)
+
+    def _inverse_each(self, a):
+        return np.stack([self.inverse(x) for x in a.reshape(-1, self.dim)]).reshape(a.shape)
 
     def power(self, a, m):
         if m < 0 or int(m) != m:

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import paper_examples
-from .algebra import Algebra, algebra_a2_1
+from .algebra import Algebra, _encode, algebra_a2_1
 from .calculus import phi_polynomial, phi_reciprocal_power
 from .catalog import build_algebra, build_phi
 from .cre import TwoPDESystem, emit_cre, find_equivalence_matrix, recover_phi_algebra
@@ -316,8 +316,9 @@ def cmd_ode(args):
                  if alg.scalars == "real" else (lambda w: w))
         res = picard(field, phi, alg, C,
                      Path.segment([0.0] * phi.k, [hi] + [0.0] * (phi.k - 1), segments=128))
+        # complex numbers as [re, im], the encoding of algebra files
         payload = {"command": "ode picard", "iterations": res.iterations,
-                   "final": res.value_at_end().tolist(),
+                   "final": _encode(res.value_at_end(), alg.scalars),
                    "history": res.history, "pass": True}
         return _emit(args, payload, f"fixed point after {res.iterations} iterations; "
                                     f"w(end) = {res.value_at_end().tolist()}")
@@ -328,7 +329,7 @@ def cmd_ode(args):
     payload = {
         "command": f"ode {args.family}",
         "max_residual": samples.max_residual,
-        "samples": [{"tau": t.tolist(), "w": w.tolist()}
+        "samples": [{"tau": t.tolist(), "w": _encode(w, alg.scalars)}
                     for t, w in zip(samples.taus, samples.values)],
         "pass": bool(ok),
     }

@@ -13,6 +13,15 @@ pencil rows; and it certifies every candidate by evaluating the resulting
 Cauchy-Riemann residual on a grid, rejecting it at the first point above
 tolerance or not finite.  A returned witness is always self-certifying.
 
+Only the A2_1 and A2_12 pencils are written out.  A2_2(gamma, delta) is
+A2_1(delta, gamma) with e1 and e2 swapped, so the A2_2 pencil of the field
+(a, b) is minus the A2_1 pencil of the swapped field (b, a), with p and q
+exchanged and the null vector (a, b, c, d) read as (b, a, d, c):
+
+    pencil_A2_2(a, b) = -pencil_A2_1(b, a)[[0, 2, 1]][..., [1, 0, 3, 2]]
+
+(tests/test_proofs.py proves every branch against the algebras' rep).
+
 Before the search, the rank of the three 2x2 blocks of Jf = L0 + x L1 + y L2
 decides how much of it runs.  An algebrizable field has its blocks in the
 two-dimensional space rep(A) Phi, so a quadratic field has one of three
@@ -49,6 +58,8 @@ CASE_A2_2 = "A2_2"
 CASE_A2_12 = "A2_12"
 
 WITNESS_TOL = 1e-8
+GRID_REFINE_STEPS = 60  # refinement steps from a grid-scan start; closed-form seeds take 5
+NULL_PAIR_RTOL = 1e-6  # the relative size at which _null_candidates counts a singular value as 0
 # the factor by which a field's commutator obstruction must clear the
 # certification tolerance before algebrize answers [] without a search
 OBSTRUCTION_MARGIN = 1e4
@@ -124,22 +135,20 @@ def _pencil(vf, case):
 
     Rows 0-2 of M6 are the constant, x and y coefficients of the first
     equation, rows 3-5 those of the second; the columns pair with the null
-    vector (a, b, c, d).  A and B hold the derivative coefficients of the two
-    field components in the same row order.
+    vector (a, b, c, d).  A and B, the first and second rows of the Jacobian
+    blocks, hold the derivative coefficients of the two field components.
+    A2_2 is derived from A2_1 by the basis swap of the module docstring.
     """
-    a, b = vf.a, vf.b
-    A = np.array([[a[1], a[2]], [2 * a[3], a[4]], [a[4], 2 * a[5]]])
-    B = np.array([[b[1], b[2]], [2 * b[3], b[4]], [b[4], 2 * b[5]]])
+    if case == CASE_A2_2:
+        swapped = _pencil(QuadraticVF(a=vf.b, b=vf.a), CASE_A2_1)
+        return -swapped[[0, 2, 1]][..., [1, 0, 3, 2]]
+    A, B = _jacobian_blocks(vf).transpose(1, 0, 2)
     m = np.zeros((3, 6, 4))
     # M6 in (even columns | odd columns), first three rows over the last three
     if case == CASE_A2_1:
         # (A + beta B | -B) over (alpha B | -A)
         m[0, :3, 0::2], m[0, :3, 1::2], m[2, :3, 0::2] = A, -B, B
         m[1, 3:, 0::2], m[0, 3:, 1::2] = B, -A
-    elif case == CASE_A2_2:
-        # (A | gamma A - B) over (B | -delta A)
-        m[0, :3, 0::2], m[0, :3, 1::2], m[1, :3, 1::2] = A, -B, A
-        m[0, 3:, 0::2], m[2, 3:, 1::2] = B, -A
     elif case == CASE_A2_12:
         # (0 | A) over (B | 0)
         m[0, :3, 1::2], m[0, 3:, 0::2] = A, B
@@ -199,29 +208,29 @@ _VERIFY_GRID = [np.array([x, y]) for x in np.linspace(-1.0, 1.0, 5)
                 for y in np.linspace(-1.0, 1.0, 5)]
 
 
-def _grid_residual(vf, phi, algebra, tol):
+def _grid_residual(vf, phi, algebra):
     """Largest CR residual of vf over the verify grid, or None once a point fails.
 
-    A point fails when its residual is above tol or not finite.  The scan
-    stops at the first failure, so only accepted witnesses pay for every point.
+    A point fails above WITNESS_TOL or when not finite.  The scan stops at
+    the first failure, so only accepted witnesses pay for every point.
     """
     fmap = vf.as_map()
     residuals = []
     for u in _VERIFY_GRID:
         r = cre_residual(fmap, phi, algebra, u)
-        if not (math.isfinite(r) and r <= tol):
+        if not (math.isfinite(r) and r <= WITNESS_TOL):
             return None
         residuals.append(r)
     return worst_of(residuals)
 
 
-def _certify(vf, case, params, v, tol=WITNESS_TOL):
+def _certify(vf, case, params, v):
     try:
         phi = phi_from_v(v)
     except DegenerateParameters:
         return None
     algebra = ALGEBRA_BUILDERS[case](params)
-    residual = _grid_residual(vf, phi, algebra, tol)
+    residual = _grid_residual(vf, phi, algebra)
     if residual is None:
         return None
     det_m4 = abs(float(np.linalg.det(build_M4(vf, case, params))))
@@ -229,7 +238,7 @@ def _certify(vf, case, params, v, tol=WITNESS_TOL):
                                 phi=phi, residual=residual, det_m4=det_m4, algebra=algebra)
 
 
-def _null_candidates(matrix, pair_rtol=1e-6):
+def _null_candidates(matrix):
     """Candidate null vectors, best-conditioned first.
 
     A field that is differentiable relative to some linear map has a
@@ -241,7 +250,7 @@ def _null_candidates(matrix, pair_rtol=1e-6):
     _, s, vt = np.linalg.svd(matrix)
     scale = max(s[0], 1e-300)
     candidates = []
-    if s[-2] <= pair_rtol * scale:
+    if s[-2] <= NULL_PAIR_RTOL * scale:
         v1, v2 = vt[-1], vt[-2]
         # det(x V1 + y V2) is a quadratic form in (x, y); take the extremal
         # direction of its symmetric matrix
@@ -324,7 +333,7 @@ def _jacobian_blocks(vf):
     ])
 
 
-def _obstructed(vf, tol, svd=None):
+def _obstructed(vf, svd=None):
     """True when the blocks of Jf rule out every linear phi and planar algebra.
 
     With Jf = L0 + x L1 + y L2: if vf is differentiable relative to a linear
@@ -345,11 +354,11 @@ def _obstructed(vf, tol, svd=None):
     min |B R| / F over rank-one unit matrices R.
 
     The skip rests on this first-order bound.  Certification accepts a
-    defect of tol (1 + |Jf| |Phi|) in each CR equation, with |Phi| >= 2
-    because Phi comes from a unit null vector.  Its strongest equation is
-    nearly rank-one once Phi is nearly singular, so a certified field has
-    omega <= c tol (1 + 1 / (2 F)), with c of order one for a CR system of
-    order one; OBSTRUCTION_MARGIN stands in for c.  L0 = 0, blocks that are
+    defect of WITNESS_TOL (1 + |Jf| |Phi|) in each CR equation, |Phi| >= 2
+    for Phi from a unit null vector.  Its strongest equation is nearly
+    rank-one once Phi is nearly singular, so a certified field has omega <=
+    c WITNESS_TOL (1 + 1 / (2 F)), c of order one for a CR system of order
+    one; OBSTRUCTION_MARGIN stands in for c.  L0 = 0, blocks that are
     multiples of one another, nearly rank-one complements and tiny fields
     give a small omega or a large bound, and are left to the search.
     svd is B's (singular values, right singular vectors) when the caller
@@ -361,7 +370,7 @@ def _obstructed(vf, tol, svd=None):
     scale = float(np.linalg.norm(blocks[0] + x * blocks[1] + y * blocks[2], axis=(1, 2)).max())
     k_min = np.linalg.svd(vt[3].reshape(2, 2), compute_uv=False)[1]
     omega = float(svals[2] * k_min) / scale
-    return omega > OBSTRUCTION_MARGIN * tol * (1.0 + 1.0 / (2.0 * scale))
+    return omega > OBSTRUCTION_MARGIN * WITNESS_TOL * (1.0 + 1.0 / (2.0 * scale))
 
 
 def _invertible(block):
@@ -422,7 +431,7 @@ def _pencil_seeds(vf):
     return seeds
 
 
-def _linear_witness(vf, tol):
+def _linear_witness(vf):
     """Purely linear fields: f = (a0, b0) + phi with phi the linear part, if it certifies."""
     lin = np.array([[vf.a[1], vf.a[2]], [vf.b[1], vf.b[2]]])
     phi = SmoothMap.linear(lin, name="linear-part")
@@ -432,7 +441,7 @@ def _linear_witness(vf, tol):
         inv = np.linalg.inv(lin)
         v = np.array([inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1]])
     algebra = algebra_a2_1(0.0, 0.0)
-    residual = _grid_residual(vf, phi, algebra, tol)
+    residual = _grid_residual(vf, phi, algebra)
     if residual is None:
         return None
     return AlgebrizationWitness(case=CASE_A2_1, params=(0.0, 0.0),
@@ -440,8 +449,7 @@ def _linear_witness(vf, tol):
                                 phi=phi, residual=residual, det_m4=0.0, algebra=algebra)
 
 
-def algebrize(vf, cases=(CASE_A2_1, CASE_A2_2, CASE_A2_12), box=(-10.0, 10.0),
-              step=0.25, tol=WITNESS_TOL, refine_iters=60):
+def algebrize(vf, cases=(CASE_A2_1, CASE_A2_2, CASE_A2_12), box=(-10.0, 10.0), step=0.25):
     """Search for witnesses that vf is differentiable relative to a linear map.
 
     A field without a quadratic part is tried against its linear part.  A
@@ -461,9 +469,9 @@ def algebrize(vf, cases=(CASE_A2_1, CASE_A2_2, CASE_A2_12), box=(-10.0, 10.0),
       means no witness was found in the box, not a proof of impossibility.
 
     Witnesses are deduplicated on parameters and kept only when the grid
-    residual is at most ``tol``.  The box needs finite bounds lo < hi, the
-    step must be finite and positive, and the grid may hold at most
-    ``MAX_GRID_CELLS`` cells; otherwise DegenerateParameters is raised
+    residual is at most ``WITNESS_TOL``.  The box needs finite bounds
+    lo < hi, the step must be finite and positive, and the grid may hold at
+    most ``MAX_GRID_CELLS`` cells; otherwise DegenerateParameters is raised
     before anything is allocated.
     """
     lo, hi = box
@@ -478,17 +486,17 @@ def algebrize(vf, cases=(CASE_A2_1, CASE_A2_2, CASE_A2_12), box=(-10.0, 10.0),
             f"{MAX_GRID_CELLS}; use a larger step or a smaller box")
 
     if vf.quadratic_norm <= 1e-14:
-        w = _linear_witness(vf, tol)
+        w = _linear_witness(vf)
         return [w] if w is not None else []
     blocks = _jacobian_blocks(vf)
     _, svals, vt = np.linalg.svd(blocks.reshape(3, 4))
-    if _obstructed(vf, tol, (svals, vt)):
+    if _obstructed(vf, (svals, vt)):
         return []
     grid = None if _clean_rank_two(blocks, svals) else np.arange(lo, hi + step / 2.0, step)
-    return _search(vf, cases, grid, tol, refine_iters)
+    return _search(vf, cases, grid)
 
 
-def _search(vf, cases, grid, tol, refine_iters):
+def _search(vf, cases, grid):
     """The witnesses of a quadratic field, stage by stage.
 
     The A2_12 null vectors, then per parametric case the closed-form seeds
@@ -499,7 +507,7 @@ def _search(vf, cases, grid, tol, refine_iters):
 
     if CASE_A2_12 in cases:
         for v in _null_candidates(_stacked(vf, CASE_A2_12, (), include_linear)):
-            w = _certify(vf, CASE_A2_12, (), v, tol=tol)
+            w = _certify(vf, CASE_A2_12, (), v)
             if w is not None:
                 witnesses.append(w)
                 break
@@ -513,9 +521,9 @@ def _search(vf, cases, grid, tol, refine_iters):
             s_last, s_second = _grid_singular_values(vf, case, grid, include_linear)
             groups += [
                 ([(grid[i], grid[j]) for i, j in _local_minima(s_second, count=20)],
-                 True, refine_iters),
+                 True, GRID_REFINE_STEPS),
                 ([(grid[i], grid[j]) for i, j in _local_minima(s_last, count=20)],
-                 False, refine_iters),
+                 False, GRID_REFINE_STEPS),
             ]
         found = []
         for starts, pair_mode, iters in groups:
@@ -524,7 +532,7 @@ def _search(vf, cases, grid, tol, refine_iters):
                                          for p0, p1 in found):
                     continue
                 for v in _null_candidates(_stacked(vf, case, params, include_linear)):
-                    w = _certify(vf, case, params, v, tol=tol)
+                    w = _certify(vf, case, params, v)
                     if w is not None:
                         found.append(params)
                         witnesses.append(w)

@@ -189,6 +189,16 @@ def test_inverse_unit_and_worked_example():
     npt.assert_allclose(got, [1.0, -2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inverse_of_a_non_finite_element_raises_before_lapack(bad, capfd):
+    alg = complex_algebra()
+    with pytest.raises(SingularElement, match="not finite"):
+        alg.inverse(np.array([bad, 1.0]))
+    with pytest.raises(SingularElement, match="not finite"):
+        alg.inverse(np.array([[2.0, 1.0], [1.0, bad]]))
+    assert capfd.readouterr().err == ""
+
+
 def test_inverse_random_property(rng, families):
     for fam in families:
         alg = fam.algebra
@@ -200,8 +210,12 @@ def test_inverse_random_property(rng, families):
 
 
 def svd_rule_inverse(alg, a):
-    """``Algebra.inverse`` as it was before the margin: an SVD of every element."""
+    """``Algebra.inverse`` without the margin: an SVD of every finite element."""
     a = np.asarray(a)
+    if not np.isfinite(a).all():
+        if a.ndim == 1:
+            raise SingularElement(f"element {a} is not finite")
+        return np.stack([svd_rule_inverse(alg, x) for x in a.reshape(-1, alg.dim)]).reshape(a.shape)
     r = alg.rep(a)
     if a.ndim > 1:
         if np.isfinite(r).all():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phialg.algebra import algebra_a3_1
+from phialg.algebra import algebra_a2_1, algebra_a3_1
 from phialg.cli import MAX_GRID_COUNT, main
 from phialg.integrals import MAX_SEGMENTS
 
@@ -167,6 +167,23 @@ def test_ode_solve(capsys):
     assert data["pass"] and data["max_residual"] <= 1e-6
 
 
+@pytest.mark.parametrize("family", ["picard", "exp"])
+def test_ode_over_a_complex_algebra_file_prints_complex_numbers_as_pairs(family, tmp_path, capsys):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(algebra_a2_1(0.3, -0.2, scalars="complex").to_dict()))
+    argv = ["ode", "solve", "--family", family, "--algebra", str(path), "--phi", "identity2"]
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    values = [data["final"]] if family == "picard" else [s["w"] for s in data["samples"]]
+    for value in values:
+        assert np.array(value).shape == (2, 2)  # two coordinates, each [re, im]
+    if family == "picard":
+        np.testing.assert_allclose(data["final"], [[np.exp(0.6), 0.0], [0.0, 0.0]], rtol=1e-6)
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0 and "w(end) = [(1.82" in plain
+
+
 def test_pde_first_order(capsys):
     code, out, _ = run_cli(capsys, "--json", "pde", "first-order",
                            "--coeffs", "1.3,-0.7,0.4,2.1", "--alpha", "0", "--beta", "0")
@@ -183,6 +200,16 @@ def test_algebrize_command(capsys):
     assert any(w["case"] == "A2_1"
                and abs(w["params"][0] + 1) < 1e-6 and abs(w["params"][1] + 1) < 1e-6
                for w in data["witnesses"])
+
+
+def test_algebrize_case_2_finds_the_a2_2_witness_of_a_field_built_in_a2_2(capsys):
+    # c1 w + c2 w^2 in A2_2(-0.75, 1.5), the last field of the algebrize golden
+    vf = "0.0,-0.8125,0.03125,1.75,0.0,2.625,0.0,0.625,-0.5625,-1.3125,2.625,3.9375"
+    code, out, err = run_cli(capsys, "--json", "algebrize", "--case", "2", "--vf", vf)
+    assert (code, err) == (0, "")
+    [witness] = json.loads(out)["witnesses"]
+    assert witness["case"] == "A2_2" and witness["residual"] <= 1e-8
+    np.testing.assert_allclose(witness["params"], [-0.75, 1.5], atol=1e-12)
 
 
 def test_algebrize_json_is_byte_identical_to_golden(capsys):

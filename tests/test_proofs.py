@@ -30,11 +30,20 @@ For the rank-two decision of algebrize (quadratic._clean_rank_two):
 * the closed forms of quadratic._pencil_seeds read the parameters back off
   that ratio: (N01 / N10, (N11 - N00) / N10) for A2_1 and
   ((N00 - N11) / N01, N10 / N01) for A2_2.
+
+For the pencil of the search (quadratic._pencil), each branch, the derived
+A2_2 one included, is exactly the coefficient system of Jf V in rep(A): its
+two equations at (x, y) are K vec(Jf(x, y) V) = 0 for a rank-two K whose
+kernel is rep(A), for symbolic coefficients, parameters and V.
 """
 
 import itertools
 
+import numpy as np
 import sympy as sp
+
+from phialg.catalog import ALGEBRA_BUILDERS
+from phialg.quadratic import QuadraticVF, _pencil
 
 alpha, beta, gamma, delta = sp.symbols("alpha beta gamma delta", real=True)
 
@@ -186,3 +195,58 @@ def test_pencil_seed_closed_forms_return_the_family_parameters():
     # A2_12: the ratio is diagonal, so neither closed form applies
     n = block_ratio(constants("A2_12")[0], phi, z, w)
     assert sp.expand(n[0, 1]) == 0 and sp.expand(n[1, 0]) == 0
+
+
+def symbolic_pencil(case, coeffs):
+    """_pencil over symbolic coefficients, from the pencils of the twelve unit fields.
+
+    The pencil is linear in the coefficients, which the last check confirms
+    on a field with exactly representable coefficients.
+    """
+    units = np.array([_pencil(QuadraticVF(a=e[:6], b=e[6:]), case) for e in np.eye(12)])
+    assert np.array_equal(units, units.round())
+    pencil = np.tensordot(np.array(coeffs, dtype=object), units.astype(int).astype(object), axes=1)
+    sample = np.arange(1, 13) / 8.0 * (-1.0) ** np.arange(12)
+    exact = np.array([[[float(sp.S(entry).subs(dict(zip(coeffs, sample)))) for entry in row]
+                       for row in m] for m in pencil])
+    assert np.array_equal(_pencil(QuadraticVF(a=sample[:6], b=sample[6:]), case), exact)
+    return [sp.Matrix(m) for m in pencil]
+
+
+def test_each_pencil_branch_is_the_coefficient_system_of_jf_v_in_rep():
+    a, b = sp.symbols("a0:6", real=True), sp.symbols("b0:6", real=True)
+    x, y = sp.symbols("x y", real=True)
+    v = sp.symbols("v0:4", real=True)
+    k = sp.symbols("k0:8")
+    monomials = [1, x, y, x * x, x * y, y * y]
+    f = sp.Matrix([sum(c * m for c, m in zip(a, monomials)),
+                   sum(c * m for c, m in zip(b, monomials))])
+    vec_x = list(f.jacobian([x, y]) * sp.Matrix(2, 2, v))
+    g = element("g")
+    for case, params in (("A2_1", (alpha, beta)), ("A2_2", (gamma, delta)), ("A2_12", ())):
+        c, _, _ = constants(case)
+        for point in ((0.5, -1.25), (2.0, 3.0)):
+            built = ALGEBRA_BUILDERS[case](point[:len(params)]).constants
+            expected = [[[float(sp.S(e).subs(dict(zip(params, point)))) for e in row]
+                         for row in block] for block in c]
+            assert np.array_equal(built, expected), case
+        m0, m1, m2 = symbolic_pencil(case, (*a, *b))
+        p, q = params if params else (sp.S.Zero, sp.S.Zero)
+        if not params:
+            assert m1.is_zero_matrix and m2.is_zero_matrix
+        m6 = m0 + p * m1 + q * m2
+        equations = [(m6[r, :] + x * m6[r + 1, :] + y * m6[r + 2, :]).dot(v) for r in (0, 3)]
+        # the equations are K vec(Jf V) for one K, fixed by the parameters alone
+        kmat = sp.Matrix(2, 4, k)
+        residual = sp.Matrix(equations) - kmat * sp.Matrix(vec_x)
+        linear = [coeff for e in residual
+                  for coeff in sp.Poly(sp.expand(e), *a, *b, *v, x, y).coeffs()]
+        [solution] = sp.solve(linear, k, dict=True)
+        assert set(solution) == set(k), case
+        kmat = kmat.subs(solution)
+        assert is_zero(residual.subs(solution)), case
+        # rep(A) lies in the kernel of K, which has rank two for every parameter
+        assert is_zero(kmat * sp.Matrix(list(rep(c, g)))), case
+        minors = [kmat.extract([0, 1], list(cols)).det()
+                  for cols in itertools.combinations(range(4), 2)]
+        assert any(d.is_number and d != 0 for d in minors), case

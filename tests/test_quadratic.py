@@ -10,7 +10,6 @@ from phialg.catalog import ALGEBRA_BUILDERS
 from phialg.errors import DegenerateParameters, PhialgError
 from phialg.maps import SmoothMap
 from phialg.quadratic import (
-    WITNESS_TOL,
     QuadraticVF,
     _certify,
     _grid_singular_values,
@@ -224,9 +223,9 @@ def _entrywise_m6(vf, case, params):
     if case == "A2_2":
         gamma, delta = params
         return np.array([
-            [a[1], gamma * a[1] - b[1], a[2], gamma * a[2] - b[2]],
-            [2 * a[3], 2 * gamma * a[3] - 2 * b[3], a[4], gamma * a[4] - b[4]],
-            [a[4], gamma * a[4] - b[4], 2 * a[5], 2 * gamma * a[5] - 2 * b[5]],
+            [a[1], -gamma * a[1] - b[1], a[2], -gamma * a[2] - b[2]],
+            [2 * a[3], -2 * gamma * a[3] - 2 * b[3], a[4], -gamma * a[4] - b[4]],
+            [a[4], -gamma * a[4] - b[4], 2 * a[5], -2 * gamma * a[5] - 2 * b[5]],
             [b[1], -delta * a[1], b[2], -delta * a[2]],
             [2 * b[3], -2 * delta * a[3], b[4], -delta * a[4]],
             [b[4], -delta * a[4], 2 * b[5], -2 * delta * a[5]],
@@ -330,7 +329,7 @@ DEFAULT_GRID = np.arange(-10.0, 10.125, 0.25)  # algebrize's default box and ste
 
 def unguarded_search(vf):
     """algebrize's scan path with its defaults, without the obstruction in front."""
-    return quadratic._search(vf, CASES, DEFAULT_GRID, WITNESS_TOL, 60)
+    return quadratic._search(vf, CASES, DEFAULT_GRID)
 
 
 def built_coefficients(case, params, phi, c1, c2):
@@ -396,7 +395,7 @@ def test_obstruction_never_skips_a_field_the_search_certifies(
         coeffs[1:6] = [l1 * p[0], l1 * p[1], l2 * p[0] ** 2, 2 * l2 * p[0] * p[1], l2 * p[1] ** 2]
     coeffs = coeffs + 10.0 ** eps_exp * np.abs(coeffs).max() * np.array(noise)
     vf = as_field(10.0 ** scale_exp * coeffs)
-    if vf.quadratic_norm > 1e-14 and quadratic._obstructed(vf, WITNESS_TOL):
+    if vf.quadratic_norm > 1e-14 and quadratic._obstructed(vf):
         assert unguarded_search(vf) == []
 
 
@@ -419,19 +418,19 @@ def test_obstruction_leaves_a_single_ratio_to_the_search(rng):
     quad = rng.uniform(-2.0, 2.0, (2, 3))
     fields.append(as_field(np.concatenate([[0, 0, 0], quad[0], [0, 0, 0], quad[1]])))
     for vf in fields:
-        assert not quadratic._obstructed(vf, WITNESS_TOL)
+        assert not quadratic._obstructed(vf)
 
 
 def test_obstruction_decides_singular_quadratic_blocks_only_when_they_are_independent():
     # L1 = [[2, 0], [0, 0]] and L2 = 0 beside a generic linear part: the
     # blocks are dependent, so the search decides
     vf = QuadraticVF(a=(0.3, 1.2, -0.7, 1.0, 0.0, 0.0), b=(0.5, 0.4, 2.0, 0.0, 0.0, 0.0))
-    assert not quadratic._obstructed(vf, WITNESS_TOL)
+    assert not quadratic._obstructed(vf)
     assert [w.params for w in algebrize(vf)] == [w.params for w in unguarded_search(vf)]
     # (x^2, y^2) has two singular blocks, diag(2, 0) and diag(0, 2); a linear
     # part off the diagonal makes the three blocks independent
     vf = QuadraticVF(a=(0.3, 1.2, -0.7, 1.0, 0.0, 0.0), b=(0.5, 0.4, 2.0, 0.0, 0.0, 1.0))
-    assert quadratic._obstructed(vf, WITNESS_TOL)
+    assert quadratic._obstructed(vf)
     assert unguarded_search(vf) == []
 
 
@@ -440,7 +439,7 @@ def test_obstruction_leaves_scalar_ratios_to_the_search(rng):
     # two ratios are multiples of one matrix
     a3, a4, a5, b3, b4, b5 = rng.uniform(-2.0, 2.0, 6)
     vf = QuadraticVF(a=(0.1, 4 * a3, 2 * a4, a3, a4, a5), b=(-0.4, 4 * b3, 2 * b4, b3, b4, b5))
-    assert not quadratic._obstructed(vf, WITNESS_TOL)
+    assert not quadratic._obstructed(vf)
 
 
 def test_obstruction_leaves_fields_near_a_singular_phi_to_the_search():
@@ -456,16 +455,16 @@ def test_obstruction_leaves_fields_near_a_singular_phi_to_the_search():
     flat = as_field(coeffs + 1e-8 * rng.uniform(-1.0, 1.0, 12))
     for vf in (dual, flat):
         assert unguarded_search(vf)
-        assert not quadratic._obstructed(vf, WITNESS_TOL)
+        assert not quadratic._obstructed(vf)
 
 
 def test_obstruction_leaves_tiny_fields_to_the_search():
     # certification's residual is absolute below |Jf| |phi| ~ 1, so a tiny
     # generic field can certify; the bound grows as the field shrinks
     coeffs = np.random.default_rng(11).uniform(-2.0, 2.0, 12)
-    assert quadratic._obstructed(as_field(coeffs), WITNESS_TOL)
+    assert quadratic._obstructed(as_field(coeffs))
     tiny = as_field(1e-9 * coeffs)
-    assert not quadratic._obstructed(tiny, WITNESS_TOL)
+    assert not quadratic._obstructed(tiny)
     assert algebrize(tiny)
 
 
@@ -548,13 +547,7 @@ def built_fields(case, count, seed):
     return fields
 
 
-@pytest.mark.parametrize("case", [
-    "A2_1",
-    pytest.param("A2_2", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP.md open item 1: the A2_2 pencil writes gamma with the "
-                            "wrong sign, so that stage certifies no witness with gamma != 0")),
-    "A2_12",
-])
+@pytest.mark.parametrize("case", ["A2_1", "A2_2", "A2_12"])
 def test_a_field_built_in_a_family_has_a_witness_in_that_family(case):
     for vf in built_fields(case, 6, seed=5):
         assert algebrize(vf, cases=(case,)), case
