@@ -41,12 +41,12 @@ def _clears_margin(r):
     The division by the largest entry keeps det from overflowing or
     underflowing.  Its rounding, and that of the LU factorization behind
     ``det``, perturb t by O(n^2 eps) in norm, 1e5 times below the margin.  A
-    zero matrix gives 0/0 and a non-finite one nan entries; both fail.
+    zero matrix gives 0/0 and a non-finite one nan entries; both fail.  The
+    caller silences numpy's floating-point errors around the call.
     """
     n = r.shape[-1]
-    with np.errstate(all="ignore"):
-        t = r / np.abs(r).max(axis=(-2, -1), keepdims=True)
-        return np.abs(np.linalg.det(t)) >= n ** n * INVERSE_MARGIN * SINGULAR_RTOL
+    t = r / np.abs(r).max(axis=(-2, -1), keepdims=True)
+    return np.abs(np.linalg.det(t)) >= n ** n * INVERSE_MARGIN * SINGULAR_RTOL
 
 
 def _svd_regular(r):
@@ -182,17 +182,22 @@ class Algebra:
         them is singular or not finite, the stack is inverted one element at
         a time instead, so the first such element raises what it raises alone.
         An element that is not finite raises SingularElement before rep or
-        any SVD, which would not converge on it.
+        any SVD, which would not converge on it.  So does a finite element
+        whose rep overflows: its entries pass the largest float, and rep is
+        computed with numpy's overflow warning silenced.
         """
         a = np.asarray(a)
         if not np.isfinite(a).all():
             if a.ndim == 1:
                 raise SingularElement(f"element {a} is not finite")
             return self._inverse_each(a)
-        r = self.rep(a)
-        doubtful = r[~_clears_margin(r)]  # (count, n, n), also for one element
+        with np.errstate(all="ignore"):
+            r = self.rep(a)
+            doubtful = r[~_clears_margin(r)]  # (count, n, n), also for one element
         if len(doubtful):
             if a.ndim == 1:
+                if not np.isfinite(r).all():
+                    raise SingularElement(f"element {a} has a representation that overflows")
                 s = np.linalg.svd(r, compute_uv=False)
                 if s[0] == 0.0 or s[-1] < SINGULAR_RTOL * s[0]:
                     raise SingularElement(f"element {a} is singular (smin/smax={s[-1]:.2e}/{s[0]:.2e})")

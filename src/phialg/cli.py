@@ -230,8 +230,7 @@ def cmd_algebrize(args):
     vf = QuadraticVF(a=tuple(coeffs[:6]), b=tuple(coeffs[6:]))
     cases = {"1": ("A2_1",), "2": ("A2_2",), "3": ("A2_12",)}.get(
         args.case, ("A2_1", "A2_2", "A2_12"))
-    lo, hi = (_floats(args.box) if args.box else (-10.0, 10.0))
-    witnesses = algebrize(vf, cases=cases, box=(lo, hi), step=args.step)
+    witnesses = algebrize(vf, cases=cases)
     payload = {
         "command": "algebrize",
         "vf": coeffs,
@@ -247,7 +246,7 @@ def cmd_algebrize(args):
     human = "\n".join(
         f"{w.case} params={tuple(float(round(p, 10)) for p in w.params)} residual={w.residual:.2e}"
         for w in witnesses
-    ) or "no witness found in the search box"
+    ) or "no witness: no linear phi and planar algebra fit vf"
     return _emit(args, payload, human)
 
 
@@ -435,11 +434,9 @@ def build_parser():
     p.add_argument("--s2", help="second system JSON (equiv)")
     p.set_defaults(func=cmd_cre)
 
-    p = sub.add_parser("algebrize", help="search quadratic-field witnesses")
+    p = sub.add_parser("algebrize", help="decide quadratic-field witnesses")
     p.add_argument("--vf", required=True, help="a0,..,a5,b0,..,b5")
     p.add_argument("--case", choices=["1", "2", "3"], help="restrict the family")
-    p.add_argument("--box", help="lo,hi parameter box (default -10,10)")
-    p.add_argument("--step", type=float, default=0.25)
     p.set_defaults(func=cmd_algebrize)
 
     p = sub.add_parser("billiards", help="verify the triangular-billiards field")

@@ -1,43 +1,46 @@
 """Deciding differentiability of quadratic planar fields relative to linear maps.
 
-A quadratic planar field is algebrizable relative to one of the three planar
-algebra families exactly when a parameter-dependent 4x4 matrix built from its
-coefficients drops rank and the resulting null vector also annihilates a 2x2
-companion block for the linear part.  The stacked 6x4 matrix is affine in the
-two family parameters, M6(p, q) = M0 + p M1 + q M2, and the search works on
-that pencil: it builds every matrix of the parameter grid in one broadcast
-and scans them for rank drops with one batched SVD; it refines the local
-minima of the smallest singular values in lockstep, alternating between the
-trailing singular vectors and a least-squares parameter fit read off the
-pencil rows; and it certifies every candidate by evaluating the resulting
-Cauchy-Riemann residual on a grid, rejecting it at the first point above
-tolerance or not finite.  A returned witness is always self-certifying.
+For a quadratic planar field f and a linear phi with matrix Phi, the answer
+is linear algebra on the three blocks of Jf = L0 + x L1 + y L2.  If f is
+differentiable relative to phi and a planar algebra A, every block lies in
+the two-dimensional space rep(A) Phi (tests/test_proofs.py), so B, the 3x4
+matrix of the flattened blocks, has rank at most two.  ``algebrize`` reads
+the rank off B's singular values and proposes one candidate per family in
+closed form:
 
-Only the A2_1 and A2_12 pencils are written out.  A2_2(gamma, delta) is
-A2_1(delta, gamma) with e1 and e2 swapped, so the A2_2 pencil of the field
-(a, b) is minus the A2_1 pencil of the swapped field (b, a), with p and q
-exchanged and the null vector (a, b, c, d) read as (b, a, d, c):
+* rank two: rep(A) Phi is the span of the blocks, the span of B's top two
+  right singular vectors.  With L* its best-conditioned unit element and S
+  the other span direction, rep(A) = span(I, N) for N = S L*^-1, so each
+  family meets it in at most one parameter point, read off N, and
+  V = Phi^-1 lies in L*^-1 span(I, N) (``_rank_two_candidates``);
+* rank one (a "flat" field, Jf = lambda(u) r s^T): a whole line of each
+  family fits, the parameter points where rep(r) is singular; the point of
+  the line nearest the origin is proposed (``_rank_one_candidates``).
+
+A field whose blocks have rank three has no witness (the obstruction: its
+blocks are independent); its candidates are those of the nearest rank-two
+field, the truncated SVD of B, and certification rejects them.  So [] proves,
+up to rounding, that no linear phi and no planar algebra fit a field whose
+blocks have rank at most two, and for any other field it is the certified
+answer of the nearest rank-two field.
+
+Every candidate is certified exactly.  With phi linear the Cauchy-Riemann
+defect at (x, y) is D0 + x D1 + y D2, with
+D_l = rep(Phi_y) L_l[:, 0] - rep(Phi_x) L_l[:, 1] (tests/test_proofs.py), so
+the three coefficient defects decide it on the whole plane
+(``_relative_defect``).
+
+The 6x4 matrix M6 of the paper, whose null vectors are the V of the
+witnesses, is affine in the two family parameters, M6(p, q) = M0 + p M1 +
+q M2.  Only the A2_1 and A2_12 pencils are written out.  A2_2(gamma, delta)
+is A2_1(delta, gamma) with e1 and e2 swapped, so the A2_2 pencil of the
+field (a, b) is minus the A2_1 pencil of the swapped field (b, a), with p
+and q exchanged and the null vector (a, b, c, d) read as (b, a, d, c):
 
     pencil_A2_2(a, b) = -pencil_A2_1(b, a)[[0, 2, 1]][..., [1, 0, 3, 2]]
 
-(tests/test_proofs.py proves every branch against the algebras' rep).
-
-Before the search, the rank of the three 2x2 blocks of Jf = L0 + x L1 + y L2
-decides how much of it runs.  An algebrizable field has its blocks in the
-two-dimensional space rep(A) Phi, so a quadratic field has one of three
-outcomes:
-
-* blocks independent by a margin that no certifiable field reaches: there is
-  no linear phi and no planar algebra, and the answer is [] without a search,
-  a certificate (``_obstructed``);
-* blocks of clean rank two with an invertible block: rep(A) is fixed by the
-  blocks, each family fits at most one parameter point, and that point is
-  the closed form of ``_pencil_seeds``; only the null-vector and seed stages
-  run, with no grid (``_clean_rank_two``);
-* anything else (rank-one "flat" blocks, which a whole family of algebras
-  can fit, fields the obstruction cannot decide, blocks that are all
-  singular): the box search, where [] only means nothing was found in the
-  box.
+(tests/test_proofs.py proves every branch against the algebras' rep).  The
+same swap gives the A2_2 parameters of both closed forms from the A2_1 ones.
 """
 
 from __future__ import annotations
@@ -48,31 +51,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import algebra_a2_1
+from .calculus import cre_residual  # noqa: F401  (perfbench's span recorder patches this binding)
 from .catalog import ALGEBRA_BUILDERS
-from .calculus import cre_residual
 from .errors import DegenerateParameters, DimensionMismatch
 from .maps import SmoothMap, worst_of
 
 CASE_A2_1 = "A2_1"
 CASE_A2_2 = "A2_2"
 CASE_A2_12 = "A2_12"
+CASES = (CASE_A2_1, CASE_A2_2, CASE_A2_12)
 
+# the largest certified defect max |D_l|, relative to |B| |Phi| (Frobenius norms)
 WITNESS_TOL = 1e-8
-GRID_REFINE_STEPS = 60  # refinement steps from a grid-scan start; closed-form seeds take 5
-NULL_PAIR_RTOL = 1e-6  # the relative size at which _null_candidates counts a singular value as 0
-# the factor by which a field's commutator obstruction must clear the
-# certification tolerance before algebrize answers [] without a search
-OBSTRUCTION_MARGIN = 1e4
-# The search forms fourth-degree products of pencil entries, det(M4) among
-# them; the entries are a few times the largest coefficient, so coefficients
-# below this leave room for those products to stay finite.
+# det(M4), which every witness reports, is a fourth-degree product of
+# coefficients; below this limit it stays finite
 COEFF_LIMIT = float(np.finfo(float).max) ** 0.25 / 1e3
-# the relative size below which the third singular value of the blocks counts
-# as zero and above which the second counts as nonzero (see _clean_rank_two)
+# the relative size below which the second singular value of B counts as zero
 RANK_RTOL = 1e-12
-# the most parameter-grid cells a search may ask for: 512^2 cells of 6x4
-# float64 matrices are about 50 MB
-MAX_GRID_CELLS = 512 ** 2
+# the relative size below which an entry of N, or a coordinate of r, counts
+# as zero when a family's parameters are divided by it
+PARAM_RTOL = 1e-9
+# |det V| at or below which phi_from_v refuses V; for unit matrices, also the
+# |det| at or below which a span of blocks holds no Phi
+DET_MIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class QuadraticVF:
         if max(abs(x) for x in (*self.a, *self.b)) > COEFF_LIMIT:
             raise DegenerateParameters(
                 f"QuadraticVF coefficients must stay below {COEFF_LIMIT:.3e} in magnitude "
-                "for the search's fourth-degree products to stay finite")
+                "for the fourth-degree det(M4) to stay finite")
 
     def __call__(self, point):
         x, y = point
@@ -114,10 +115,6 @@ class QuadraticVF:
 
     def as_map(self):
         return SmoothMap(2, 2, self.__call__, jac=self.jacobian, name="quadratic-vf")
-
-    @property
-    def linear_norm(self):
-        return float(max(abs(self.a[1]), abs(self.a[2]), abs(self.b[1]), abs(self.b[2])))
 
     @property
     def quadratic_norm(self):
@@ -198,129 +195,10 @@ def phi_from_v(v):
     """phi(s, t) = (d s - b t, a t - c s) / (ad - bc); the inverse of [[a,b],[c,d]]."""
     a, b, c, d = v
     det = a * d - b * c
-    if abs(det) <= 1e-9:
+    if abs(det) <= DET_MIN:
         raise DegenerateParameters(f"ad - bc = {det:.3e} too small")
     m = np.array([[d, -b], [-c, a]]) / det
     return SmoothMap.linear(m, name="phi(v)")
-
-
-_VERIFY_GRID = [np.array([x, y]) for x in np.linspace(-1.0, 1.0, 5)
-                for y in np.linspace(-1.0, 1.0, 5)]
-
-
-def _grid_residual(vf, phi, algebra):
-    """Largest CR residual of vf over the verify grid, or None once a point fails.
-
-    A point fails above WITNESS_TOL or when not finite.  The scan stops at
-    the first failure, so only accepted witnesses pay for every point.
-    """
-    fmap = vf.as_map()
-    residuals = []
-    for u in _VERIFY_GRID:
-        r = cre_residual(fmap, phi, algebra, u)
-        if not (math.isfinite(r) and r <= WITNESS_TOL):
-            return None
-        residuals.append(r)
-    return worst_of(residuals)
-
-
-def _certify(vf, case, params, v):
-    try:
-        phi = phi_from_v(v)
-    except DegenerateParameters:
-        return None
-    algebra = ALGEBRA_BUILDERS[case](params)
-    residual = _grid_residual(vf, phi, algebra)
-    if residual is None:
-        return None
-    det_m4 = abs(float(np.linalg.det(build_M4(vf, case, params))))
-    return AlgebrizationWitness(case=case, params=tuple(params), v=np.asarray(v, dtype=float),
-                                phi=phi, residual=residual, det_m4=det_m4, algebra=algebra)
-
-
-def _null_candidates(matrix):
-    """Candidate null vectors, best-conditioned first.
-
-    A field that is differentiable relative to some linear map has a
-    two-dimensional null space here (the map is free up to a regular constant
-    factor), and the smallest singular vector alone may be a degenerate
-    combination with ad - bc = 0.  When the two smallest singular values are
-    both negligible, return the combination maximizing |ad - bc| as well.
-    """
-    _, s, vt = np.linalg.svd(matrix)
-    scale = max(s[0], 1e-300)
-    candidates = []
-    if s[-2] <= NULL_PAIR_RTOL * scale:
-        v1, v2 = vt[-1], vt[-2]
-        # det(x V1 + y V2) is a quadratic form in (x, y); take the extremal
-        # direction of its symmetric matrix
-        d1 = v1[0] * v1[3] - v1[1] * v1[2]
-        d2 = v2[0] * v2[3] - v2[1] * v2[2]
-        cross = (v1[0] * v2[3] + v2[0] * v1[3] - v1[1] * v2[2] - v2[1] * v1[2])
-        form = np.array([[d1, cross / 2.0], [cross / 2.0, d2]])
-        eigvals, eigvecs = np.linalg.eigh(form)
-        best = eigvecs[:, int(np.argmax(np.abs(eigvals)))]
-        candidates.append(best[0] * v1 + best[1] * v2)
-    candidates.append(vt[-1])
-    return candidates
-
-
-def _dot(m, v):
-    """m @ v for v of shape (..., 4): (..., rows), summed column by column.
-
-    The fixed left-to-right order keeps the fitted parameters, which --json
-    prints in full, identical to the last bit on every BLAS build.
-    """
-    return (m[:, 0] * v[..., 0, None] + m[:, 1] * v[..., 1, None]
-            + m[:, 2] * v[..., 2, None] + m[:, 3] * v[..., 3, None])
-
-
-def _param_equations(pencil):
-    """Per parameter, the affine equations (Mk[r] v) p_k + M0[r] v = 0 on a null vector v.
-
-    Each quadratic row r of M6 (an M4 row) involves one parameter only, so
-    every row where Mk is nonzero gives one equation for p_k.  Returns one
-    matrix per parameter: the rows Mk[r], then the matching rows M0[r].
-    """
-    m0, *mks = pencil[:, _M4_ROWS]
-    equations = []
-    for mk in mks:
-        rows = np.any(mk != 0, axis=1)
-        equations.append(np.vstack([mk[rows], m0[rows]]))
-    return equations
-
-
-def _params_given_vs(equations, vs):
-    """Least-squares parameters (..., 2) given null vectors vs (..., nv, 4)."""
-    shape = (*vs.shape[:-2], -1)
-    fits = []
-    for eq in equations:
-        n = len(eq) // 2
-        both = _dot(eq, vs)
-        fits.append(_ls_scalar(both[..., :n].reshape(shape), both[..., n:].reshape(shape)))
-    return np.stack(fits, axis=-1)
-
-
-def _ls_scalar(coef, const):
-    """Solve coef * p + const = 0 in least squares along the last axis (0 if coef vanishes).
-
-    The sums run left to right from zero, the rounding of a scalar loop.
-    """
-    terms, squares = -coef * const, coef * coef
-    num, den = np.zeros(coef.shape[:-1]), np.zeros(coef.shape[:-1])
-    for j in range(coef.shape[-1]):
-        num, den = num + terms[..., j], den + squares[..., j]
-    tiny = den < 1e-300
-    return np.where(tiny, 0.0, num / np.where(tiny, 1.0, den))
-
-
-def _rows(include_linear):
-    """The rows of M6 stacked for the search: M4, then M2 when the field has a linear part."""
-    return _M4_ROWS + _M2_ROWS if include_linear else _M4_ROWS
-
-
-def _stacked(vf, case, params, include_linear):
-    return build_M6(vf, case, params)[_rows(include_linear)]
 
 
 def _jacobian_blocks(vf):
@@ -333,264 +211,168 @@ def _jacobian_blocks(vf):
     ])
 
 
-def _obstructed(vf, svd=None):
-    """True when the blocks of Jf rule out every linear phi and planar algebra.
+def _relative_defect(blocks, phi, algebra):
+    """max |D_l| / (|B| |Phi|): the Cauchy-Riemann defect of the field on the whole plane.
 
-    With Jf = L0 + x L1 + y L2: if vf is differentiable relative to a linear
-    phi with matrix Phi and a planar algebra A, every block lies in the
-    two-dimensional space rep(A) Phi (tests/test_proofs.py), so the three
-    blocks are linearly dependent.  For an invertible L_j this says that the
-    ratios L_i L_j^-1 commute, since a 2x2 matrix commutes with a non-scalar
-    X exactly when it lies in the span of I and X.  The measure is
-
-        omega = sigma3(B) sigma_min(K) / F,
-
-    B the 3x4 matrix of the flattened blocks, sigma3 its third singular
-    value, K its unit null direction read as a 2x2 matrix, and F the largest
-    |Jf| over the verify grid (Frobenius norms throughout).
-    The factor sigma_min(K) covers a nearly singular Phi: as Phi degenerates,
-    the Cauchy-Riemann equations shrink to one rank-one equation s^T L t = 0,
-    which blocks with a rank-one K all meet.  omega is at most
-    min |B R| / F over rank-one unit matrices R.
-
-    The skip rests on this first-order bound.  Certification accepts a
-    defect of WITNESS_TOL (1 + |Jf| |Phi|) in each CR equation, |Phi| >= 2
-    for Phi from a unit null vector.  Its strongest equation is nearly
-    rank-one once Phi is nearly singular, so a certified field has omega <=
-    c WITNESS_TOL (1 + 1 / (2 F)), c of order one for a CR system of order
-    one; OBSTRUCTION_MARGIN stands in for c.  L0 = 0, blocks that are
-    multiples of one another, nearly rank-one complements and tiny fields
-    give a small omega or a large bound, and are left to the search.
-    svd is B's (singular values, right singular vectors) when the caller
-    has them already.
+    D_l = rep(Phi_y) L_l[:, 0] - rep(Phi_x) L_l[:, 1] is the coefficient of
+    the l-th monomial of 1, x, y in the defect, which is affine in (x, y)
+    for a linear phi.  Non-finite when any defect is.
     """
-    blocks = _jacobian_blocks(vf)
-    svals, vt = svd if svd is not None else np.linalg.svd(blocks.reshape(3, 4))[1:]
-    x, y = np.array(_VERIFY_GRID).T[:, :, None, None]
-    scale = float(np.linalg.norm(blocks[0] + x * blocks[1] + y * blocks[2], axis=(1, 2)).max())
-    k_min = np.linalg.svd(vt[3].reshape(2, 2), compute_uv=False)[1]
-    omega = float(svals[2] * k_min) / scale
-    return omega > OBSTRUCTION_MARGIN * WITNESS_TOL * (1.0 + 1.0 / (2.0 * scale))
+    rep_x, rep_y = algebra.rep(phi.T)
+    defect = float(np.abs(blocks[:, :, 0] @ rep_y.T - blocks[:, :, 1] @ rep_x.T).max())
+    scale = float(np.linalg.norm(blocks)) * float(np.linalg.norm(phi))
+    return defect / scale if scale else defect
 
 
-def _invertible(block):
-    """The invertibility test of the closed-form stage: |det| against the block's scale."""
-    return not abs(np.linalg.det(block)) < 1e-9 * max(1.0, float(np.abs(block).max()) ** 2)
-
-
-def _clean_rank_two(blocks, svals):
-    """True when the blocks span two dimensions and hold an invertible block.
-
-    The lemma (tests/test_proofs.py): a witness (Phi, A) puts every block in
-    the two-dimensional space rep(A) Phi, so when the blocks span two
-    dimensions, span(blocks) V = rep(A) with V = Phi^-1.  If the span holds
-    an invertible L*, then rep(A) = span(I, N) with N = L_i L*^-1 for any
-    block L_i independent of L*, because rep(A) is closed under products and
-    inverses.  So rep(A) is read off the field, each planar family meets it
-    in at most one parameter point (A2_1 when N10 != 0, A2_2 when
-    N01 != 0, A2_12 when N is diagonal), and those points are the closed
-    forms of ``_pencil_seeds``, whose refinement and certification need no
-    grid.  V is then free only up to an invertible element of rep(A), the
-    two-dimensional null space of ``_null_candidates``.
-
-    The rank is read from the singular values of B, the 3x4 matrix of the
-    flattened blocks: sigma3 <= RANK_RTOL sigma1 < sigma2.  Fields built in
-    a planar family have sigma3 / sigma1 at rounding level (below 2e-16 on
-    the benchmark decks, whose algebrizable fields have sigma2 / sigma1 of
-    8e-3 or more), while generic fields sit at 3e-2 or more; 1e-12 leaves
-    four orders of magnitude on either side.  A field between RANK_RTOL and
-    the obstruction's margin, a rank-one field and a field whose blocks are
-    all singular keep the grid search.
-    """
-    return (svals[2] <= RANK_RTOL * svals[0] < svals[1]
-            and any(_invertible(block) for block in blocks))
-
-
-def _pencil_seeds(vf):
-    """Closed-form parameter candidates from the Jacobian pencil.
-
-    Jf = L0 + L1 x + L2 y; differentiability relative to a linear map forces
-    ratios like L2 L1^-1 into the representation span of the algebra, whose
-    shape reads the parameters off directly.  Candidates are certified like
-    any other seed, so spurious ones are harmless.
-    """
-    mats = _jacobian_blocks(vf)
-    seeds = []
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            den = mats[j]
-            if not _invertible(den):
-                continue
-            p = mats[i] @ np.linalg.inv(den)
-            if abs(p[1, 0]) > 1e-9:
-                seeds.append((CASE_A2_1, (p[0, 1] / p[1, 0], (p[1, 1] - p[0, 0]) / p[1, 0])))
-            if abs(p[0, 1]) > 1e-9:
-                seeds.append((CASE_A2_2, ((p[0, 0] - p[1, 1]) / p[0, 1], p[1, 0] / p[0, 1])))
-    return seeds
+def _certify(vf, blocks, case, params, v):
+    """The witness of (case, params, V) when its relative defect is at most WITNESS_TOL, else None."""
+    try:
+        phi = phi_from_v(v)
+    except DegenerateParameters:
+        return None
+    algebra = ALGEBRA_BUILDERS[case](params)
+    residual = _relative_defect(blocks, phi.matrix, algebra)
+    if not residual <= WITNESS_TOL:
+        return None
+    # numpy's det adds up the logs of the LU pivots: a pivot that underflows
+    # to 0 on a field with subnormal coefficients warns, though 0 is the answer
+    with np.errstate(divide="ignore"):
+        det_m4 = abs(float(np.linalg.det(build_M4(vf, case, params))))
+    return AlgebrizationWitness(case=case, params=tuple(params), v=np.asarray(v, dtype=float),
+                                phi=phi, residual=residual, det_m4=det_m4, algebra=algebra)
 
 
 def _linear_witness(vf):
     """Purely linear fields: f = (a0, b0) + phi with phi the linear part, if it certifies."""
-    lin = np.array([[vf.a[1], vf.a[2]], [vf.b[1], vf.b[2]]])
-    phi = SmoothMap.linear(lin, name="linear-part")
-    det = np.linalg.det(lin)
-    v = None
-    if abs(det) > 1e-9:
-        inv = np.linalg.inv(lin)
-        v = np.array([inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1]])
+    blocks = _jacobian_blocks(vf)
+    lin = blocks[0]
+    v = np.full(4, np.nan)
+    if abs(lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]) > DET_MIN:
+        v = np.linalg.inv(lin).ravel()
     algebra = algebra_a2_1(0.0, 0.0)
-    residual = _grid_residual(vf, phi, algebra)
-    if residual is None:
+    residual = _relative_defect(blocks, lin, algebra)
+    if not residual <= WITNESS_TOL:
         return None
-    return AlgebrizationWitness(case=CASE_A2_1, params=(0.0, 0.0),
-                                v=v if v is not None else np.full(4, np.nan),
-                                phi=phi, residual=residual, det_m4=0.0, algebra=algebra)
+    return AlgebrizationWitness(case=CASE_A2_1, params=(0.0, 0.0), v=v,
+                                phi=SmoothMap.linear(lin, name="linear-part"),
+                                residual=residual, det_m4=0.0, algebra=algebra)
 
 
-def algebrize(vf, cases=(CASE_A2_1, CASE_A2_2, CASE_A2_12), box=(-10.0, 10.0), step=0.25):
-    """Search for witnesses that vf is differentiable relative to a linear map.
+def _best_conditioned(m1, m2):
+    """Unit combinations of orthonormal 2x2 matrices m1, m2, largest |det| first, and that det.
 
-    A field without a quadratic part is tried against its linear part.  A
-    quadratic field has one of three outcomes, decided by the blocks of its
-    Jacobian (see the module docstring):
+    det(a m1 + b m2) is a quadratic form in (a, b); the eigenvectors of its
+    symmetric matrix are its extremes on the unit circle, and the
+    eigenvalues the determinants there.  Returns (det, best, other), other
+    the orthogonal combination.
+    """
+    d1 = m1[0, 0] * m1[1, 1] - m1[0, 1] * m1[1, 0]
+    d2 = m2[0, 0] * m2[1, 1] - m2[0, 1] * m2[1, 0]
+    cross = m1[0, 0] * m2[1, 1] + m2[0, 0] * m1[1, 1] - m1[0, 1] * m2[1, 0] - m2[0, 1] * m1[1, 0]
+    eigvals, eigvecs = np.linalg.eigh(np.array([[d1, cross / 2.0], [cross / 2.0, d2]]))
+    i = int(np.argmax(np.abs(eigvals)))
+    (a, b), (c, d) = eigvecs[:, i], eigvecs[:, 1 - i]
+    return eigvals[i], a * m1 + b * m2, c * m1 + d * m2
 
-    * the commutator obstruction (``_obstructed``) clears its margin: the
-      empty list returned is a certificate that no linear phi and no planar
-      algebra fit vf;
-    * the blocks have clean rank two (``_clean_rank_two``): the closed-form
-      answer, the A2_12 null vectors and the refined closed-form parameters
-      of ``_pencil_seeds``, certified, with no grid scan;
-    * otherwise the box search: the A2_12 null vectors, then for each
-      parametric case a scan of the box for small least-singular-values of
-      M4 and alternating null-vector / parameter refinement from the closed
-      forms and from each local minimum.  An empty list from the search
-      means no witness was found in the box, not a proof of impossibility.
 
-    Witnesses are deduplicated on parameters and kept only when the grid
-    residual is at most ``WITNESS_TOL``.  The box needs finite bounds
-    lo < hi, the step must be finite and positive, and the grid may hold at
-    most ``MAX_GRID_CELLS`` cells; otherwise DegenerateParameters is raised
-    before anything is allocated.
+def _rank_two_candidates(m1, m2):
+    """(case, params, V) from the span of the orthonormal blocks m1, m2, in the order A2_12, A2_1, A2_2.
+
+    rep(A) = span(I, N) with N = S L*^-1.  A2_1 fits where N10 != 0, with
+    (alpha, beta) = (N01, N11 - N00) / N10; A2_2 where N01 != 0, with
+    (gamma, delta) = (N00 - N11, N10) / N01, the A2_1 form after the swap;
+    A2_12 where N is diagonal, which certification decides.  V is the
+    largest-|det| unit element of L*^-1 span(I, N).  A span without an
+    element of |det| above DET_MIN holds no Phi and gives no candidate.
+    """
+    det, lstar, s = _best_conditioned(m1, m2)
+    if not abs(det) > DET_MIN:
+        return []
+    inv = np.linalg.inv(lstar)
+    n = s @ inv
+    basis = np.linalg.qr(np.stack([inv.ravel(), (inv @ n).ravel()], axis=1))[0]
+    v = _best_conditioned(basis[:, 0].reshape(2, 2), basis[:, 1].reshape(2, 2))[1].ravel()
+    tiny = PARAM_RTOL * float(np.abs(n).max())
+    candidates = [(CASE_A2_12, (), v)]
+    if abs(n[1, 0]) > tiny:
+        candidates.append((CASE_A2_1, (n[0, 1] / n[1, 0], (n[1, 1] - n[0, 0]) / n[1, 0]), v))
+    if abs(n[0, 1]) > tiny:
+        candidates.append((CASE_A2_2, ((n[0, 0] - n[1, 1]) / n[0, 1], n[1, 0] / n[0, 1]), v))
+    return candidates
+
+
+def _rank_one_candidates(k):
+    """(case, params, V) for Jf = lambda(u) k with k ~ r s^T, in the order A2_12, A2_1, A2_2.
+
+    A witness needs R = r w^T in rep(A), and R = rep(r) up to scale, since
+    rep(z) maps the unit to z.  In A2_1, det rep(r) = r1^2 + beta r1 r2 -
+    alpha r2^2, so every point of that line fits; the point nearest the
+    origin, for a unit r, is (r1^2, -r1^3 / r2).  A2_2 is the same with r1
+    and r2 swapped and the parameters read as (beta, alpha).  A2_12 fits
+    when r is a coordinate axis, which certification decides.  V solves
+    s^T V = w^T up to scale: V = (s w^T + J s (J w)^T) / sqrt(2) for unit
+    s and w, J the quarter turn, an orthogonal matrix over sqrt(2).
+    """
+    u, _, vt = np.linalg.svd(k)
+    r, s = u[:, 0], vt[0]
+    candidates = [(CASE_A2_12, ())]
+    if abs(r[1]) > PARAM_RTOL:
+        candidates.append((CASE_A2_1, (r[0] ** 2, -r[0] ** 3 / r[1])))
+    if abs(r[0]) > PARAM_RTOL:
+        candidates.append((CASE_A2_2, (-r[1] ** 3 / r[0], r[1] ** 2)))
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    out = []
+    for case, params in candidates:
+        w = ALGEBRA_BUILDERS[case](params).rep(r).T @ r
+        w = w / np.linalg.norm(w)
+        v = (np.outer(s, w) + np.outer(turn @ s, turn @ w)) / math.sqrt(2.0)
+        out.append((case, params, v.ravel()))
+    return out
+
+
+def algebrize(vf, cases=CASES, box=(-10.0, 10.0), step=0.25):
+    """The certified witnesses that vf is differentiable relative to a linear map.
+
+    A field without a quadratic part is tried against its linear part.  For
+    a quadratic field the blocks of Jf decide (see the module docstring):
+    one closed-form candidate per family in ``cases``, at most, each
+    certified exactly on the whole plane; the witnesses come in the order
+    A2_12, A2_1, A2_2.  A witness's ``residual`` is its relative defect
+    max |D_l| / (|B| |Phi|), at most ``WITNESS_TOL``.
+
+    For a field whose blocks have rank at most two, [] proves, up to
+    rounding, that no linear phi and no planar algebra of ``cases`` fit it.
+    For any other field, [] is the certified answer of the nearest rank-two
+    field: its candidates do not fit vf.
+
+    box and step no longer change the answer: there is no parameter grid.
+    They are kept for callers of the former grid search, and are still
+    checked: the box needs finite bounds lo < hi and the step must be finite
+    and positive, otherwise DegenerateParameters is raised.
     """
     lo, hi = box
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DegenerateParameters(f"search box needs finite bounds lo < hi, got {lo}, {hi}")
     if not (math.isfinite(step) and step > 0):
         raise DegenerateParameters(f"search step must be finite and positive, got {step}")
-    per_axis = (hi - lo) / step + 1.0  # within one of len(np.arange(...)) below
-    if not per_axis * per_axis <= MAX_GRID_CELLS:
-        raise DegenerateParameters(
-            f"search grid of about {per_axis:.3g}^2 cells exceeds MAX_GRID_CELLS = "
-            f"{MAX_GRID_CELLS}; use a larger step or a smaller box")
 
     if vf.quadratic_norm <= 1e-14:
         w = _linear_witness(vf)
         return [w] if w is not None else []
     blocks = _jacobian_blocks(vf)
     _, svals, vt = np.linalg.svd(blocks.reshape(3, 4))
-    if _obstructed(vf, (svals, vt)):
-        return []
-    grid = None if _clean_rank_two(blocks, svals) else np.arange(lo, hi + step / 2.0, step)
-    return _search(vf, cases, grid)
-
-
-def _search(vf, cases, grid):
-    """The witnesses of a quadratic field, stage by stage.
-
-    The A2_12 null vectors, then per parametric case the closed-form seeds
-    and, unless grid is None, the local minima of the grid scan.
-    """
+    span = vt[:2].reshape(2, 2, 2)
+    if svals[1] > RANK_RTOL * svals[0]:
+        candidates = _rank_two_candidates(*span)
+    else:
+        candidates = _rank_one_candidates(span[0])
     witnesses = []
-    include_linear = vf.linear_norm > 1e-12
-
-    if CASE_A2_12 in cases:
-        for v in _null_candidates(_stacked(vf, CASE_A2_12, (), include_linear)):
-            w = _certify(vf, CASE_A2_12, (), v)
+    for case, params, v in candidates:
+        if case in cases:
+            w = _certify(vf, blocks, case, params, v)
             if w is not None:
                 witnesses.append(w)
-                break
-
-    pencil_seeds = _pencil_seeds(vf)
-    for case in (CASE_A2_1, CASE_A2_2):
-        if case not in cases:
-            continue
-        groups = [([params for c, params in pencil_seeds if c == case], True, 5)]
-        if grid is not None:
-            s_last, s_second = _grid_singular_values(vf, case, grid, include_linear)
-            groups += [
-                ([(grid[i], grid[j]) for i, j in _local_minima(s_second, count=20)],
-                 True, GRID_REFINE_STEPS),
-                ([(grid[i], grid[j]) for i, j in _local_minima(s_last, count=20)],
-                 False, GRID_REFINE_STEPS),
-            ]
-        found = []
-        for starts, pair_mode, iters in groups:
-            for params in _alternate_refine(vf, case, starts, include_linear, iters, pair_mode):
-                if params is None or any(max(abs(params[0] - p0), abs(params[1] - p1)) < 1e-6
-                                         for p0, p1 in found):
-                    continue
-                for v in _null_candidates(_stacked(vf, case, params, include_linear)):
-                    w = _certify(vf, case, params, v)
-                    if w is not None:
-                        found.append(params)
-                        witnesses.append(w)
-                        break
     return witnesses
-
-
-def _grid_singular_values(vf, case, grid, include_linear):
-    """Two smallest singular values of the stacked matrix over the grid, in one batched SVD."""
-    p0, p1 = np.meshgrid(grid, grid, indexing="ij")
-    mats = _pencil_at(_pencil(vf, case)[:, _rows(include_linear)], p0, p1)
-    svals = np.linalg.svd(mats, compute_uv=False)
-    return svals[..., -1], svals[..., -2]
-
-
-def _local_minima(smin, count):
-    padded = np.pad(smin, 1, constant_values=np.inf)
-    center = padded[1:-1, 1:-1]
-    is_min = np.ones_like(center, dtype=bool)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            is_min &= center <= padded[1 + dx: padded.shape[0] - 1 + dx,
-                                       1 + dy: padded.shape[1] - 1 + dy]
-    idx = np.argwhere(is_min)
-    order = np.argsort(center[is_min])
-    return [tuple(idx[i]) for i in order[:count]]
-
-
-def _alternate_refine(vf, case, starts, include_linear, iters, pair_mode):
-    """Alternate trailing-singular-vector extraction with the parameter fit.
-
-    pair_mode drives both trailing singular vectors to the null space, which
-    is what a field with a two-dimensional witness family needs; single mode
-    contracts onto ordinary rank-drop points.  All starts step in lockstep,
-    one batched SVD per step, and each stops on its own: once its parameters
-    move by less than 1e-13, or after ``iters`` steps.  Returns the refined
-    (p, q) per start, or None where the fit left the finite numbers.
-    """
-    pencil = _pencil(vf, case)
-    stacked = pencil[:, _rows(include_linear)]
-    equations = _param_equations(pencil)
-    params = np.array(starts, dtype=float).reshape(-1, 2)
-    failed = np.zeros(len(params), dtype=bool)
-    live = np.arange(len(params))
-    for _ in range(iters):
-        if not live.size:
-            break
-        old = params[live]
-        _, _, vt = np.linalg.svd(_pencil_at(stacked, old[:, 0], old[:, 1]))
-        vs = vt[:, [-1, -2]] if pair_mode else vt[:, [-1]]
-        new = _params_given_vs(equations, vs)
-        finite = np.isfinite(new).all(axis=1)
-        failed[live[~finite]] = True
-        params[live] = new
-        live = live[finite & ~(np.abs(new - old).max(axis=1) < 1e-13)]
-    return [None if bad else tuple(p) for p, bad in zip(params, failed)]
 
 
 # -- the quadratic field attached to triangular billiards ----------------------

@@ -228,7 +228,7 @@ def test_criterion_6_algebrizer_roundtrip(rng):
                else algebra_a2_2(*params) if case == "A2_2" else algebra_a2_12())
         c_elem = alg.random_regular(rng)
         vf = _square_field(case, params, matrix, c_elem, alg)
-        witnesses = algebrize(vf, box=(-3.0, 3.0))
+        witnesses = algebrize(vf)
         assert witnesses, (case, params)
         worst = max(worst, min(w.residual for w in witnesses))
     assert worst <= 1e-8

@@ -199,6 +199,21 @@ def test_inverse_of_a_non_finite_element_raises_before_lapack(bad, capfd):
     assert capfd.readouterr().err == ""
 
 
+def test_inverse_of_an_element_whose_rep_overflows_raises_without_a_warning(capfd):
+    # rep([0, 1e308]) in A2_1(10, 0) holds 10 * 1e308; the inverse used to
+    # print an overflow warning and return [0, 0], whose product is not the unit
+    alg = algebra_a2_1(10.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularElement, match="overflows"):
+            alg.inverse(np.array([0.0, 1e308]))
+        with pytest.raises(SingularElement, match="overflows"):
+            alg.inverse(np.array([[2.0, 1.0], [0.0, 1e308]]))
+        npt.assert_allclose(alg.inverse(np.array([[2.0, 1.0], [0.0, 1e150]])),
+                            [[2.0 / (4.0 - 10.0), -1.0 / (4.0 - 10.0)], [0.0, 1e-151]])
+    assert capfd.readouterr().err == ""
+
+
 def test_inverse_random_property(rng, families):
     for fam in families:
         alg = fam.algebra
@@ -223,6 +238,8 @@ def svd_rule_inverse(alg, a):
             if (s[..., 0] != 0.0).all() and (s[..., -1] >= SINGULAR_RTOL * s[..., 0]).all():
                 return np.linalg.solve(r, alg.unit)
         return np.stack([svd_rule_inverse(alg, x) for x in a.reshape(-1, alg.dim)]).reshape(a.shape)
+    if not np.isfinite(r).all():
+        raise SingularElement(f"element {a} has a representation that overflows")
     s = np.linalg.svd(r, compute_uv=False)
     if s[0] == 0.0 or s[-1] < SINGULAR_RTOL * s[0]:
         raise SingularElement(f"element {a} is singular (smin/smax={s[-1]:.2e}/{s[0]:.2e})")

@@ -1,4 +1,4 @@
-"""Symbolic proofs of the planar-algebra lemma behind algebrize's obstruction.
+"""Symbolic proofs of the planar-algebra lemmas behind algebrize's closed forms.
 
 For the three planar families, with symbolic parameters and elements:
 
@@ -18,32 +18,47 @@ Jf = L0 + x L1 + y L2 is L_i = rep(g_i) Phi, the three blocks lie in the
 two-dimensional space rep(A) Phi, each ratio L_i L_j^-1 equals
 rep(g_i) rep(g_j)^-1, and the ratios commute with one another; by the last
 point, commuting ratios and linearly dependent blocks are the same
-condition.
+condition.  Blocks of rank three are the obstruction: no witness exists.
 
-For the rank-two decision of algebrize (quadratic._clean_rank_two):
+For the exact certification of algebrize (quadratic._relative_defect): for
+a quadratic f and a linear phi, the Cauchy-Riemann defect at (x, y) is
+D0 + x D1 + y D2 with D_l = rep(Phi_y) L_l[:, 0] - rep(Phi_x) L_l[:, 1],
+L_l the blocks of quadratic._jacobian_blocks.
+
+For the rank-two closed form (quadratic._rank_two_candidates):
 
 * for blocks L = rep(z) Phi and an invertible L* = rep(z*) Phi, the ratio
   L_i L*^-1 is s I + t G with G the non-unit generator and t a non-zero
   multiple of det(Phi) (z_i ^ z*), so it is non-scalar exactly when L_i and
   L* are independent, and then rep(A) = span(I, L_i L*^-1) is read off the
   blocks alone;
-* the closed forms of quadratic._pencil_seeds read the parameters back off
-  that ratio: (N01 / N10, (N11 - N00) / N10) for A2_1 and
+* the closed forms read the parameters back off that ratio N:
+  (N01 / N10, (N11 - N00) / N10) for A2_1 and
   ((N00 - N11) / N01, N10 / N01) for A2_2.
 
-For the pencil of the search (quadratic._pencil), each branch, the derived
-A2_2 one included, is exactly the coefficient system of Jf V in rep(A): its
-two equations at (x, y) are K vec(Jf(x, y) V) = 0 for a rank-two K whose
-kernel is rep(A), for symbolic coefficients, parameters and V.
+For the rank-one closed form (quadratic._rank_one_candidates), Jf = lambda r s^T:
+
+* A2_1 has a rank-one element with column space r exactly on the line
+  r1^2 + beta r1 r2 - alpha r2^2 = 0, whose point nearest the origin is
+  (r1^2, -r1^3 / r2) / |r|^2; A2_2 has the swapped line, and A2_12 fits
+  only a coordinate axis r;
+* V = s w^T + J s (J w)^T, with rep(r) = r w^T and J the quarter turn, is
+  regular and puts r s^T V into rep(A).
+
+For the pencil (quadratic._pencil), each branch, the derived A2_2 one
+included, is exactly the coefficient system of Jf V in rep(A): its two
+equations at (x, y) are K vec(Jf(x, y) V) = 0 for a rank-two K whose kernel
+is rep(A), for symbolic coefficients, parameters and V.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import sympy as sp
 
 from phialg.catalog import ALGEBRA_BUILDERS
-from phialg.quadratic import QuadraticVF, _pencil
+from phialg.quadratic import QuadraticVF, _jacobian_blocks, _pencil
 
 alpha, beta, gamma, delta = sp.symbols("alpha beta gamma delta", real=True)
 
@@ -250,3 +265,74 @@ def test_each_pencil_branch_is_the_coefficient_system_of_jf_v_in_rep():
         minors = [kmat.extract([0, 1], list(cols)).det()
                   for cols in itertools.combinations(range(4), 2)]
         assert any(d.is_number and d != 0 for d in minors), case
+
+
+def test_the_cauchy_riemann_defect_of_a_quadratic_field_is_affine_in_the_point():
+    a, b = sp.symbols("a0:6", real=True), sp.symbols("b0:6", real=True)
+    x, y = sp.symbols("x y", real=True)
+    phi = sp.Matrix(2, 2, sp.symbols("p00 p01 p10 p11", real=True))
+    monomials = [1, x, y, x * x, x * y, y * y]
+    f = sp.Matrix([sum(c * m for c, m in zip(a, monomials)),
+                   sum(c * m for c, m in zip(b, monomials))])
+    blocks = [sp.Matrix(block) for block in _jacobian_blocks(SimpleNamespace(a=a, b=b))]
+    assert is_zero(f.jacobian([x, y]) - blocks[0] - x * blocks[1] - y * blocks[2])
+    for case in CASES:
+        c, _, _ = constants(case)
+        coefficients = [cr_defect(c, phi, block) for block in blocks]
+        affine = coefficients[0] + x * coefficients[1] + y * coefficients[2]
+        assert is_zero(cr_defect(c, phi, f.jacobian([x, y])) - affine), case
+
+
+r1, r2 = sp.symbols("r1 r2", real=True)
+
+
+def line(case):
+    """det rep(r) for r = (r1, r2): zero exactly where rep(A) has a rank-one element with column space r."""
+    c, _, _ = constants(case)
+    return sp.expand(rep(c, (r1, r2)).det())
+
+
+def test_a_rank_one_element_with_column_space_r_lies_on_each_familys_line():
+    # rep(z) maps the unit to z, so a rank-one rep(z) with column space r has z ~ r
+    for case in CASES:
+        c, unit, _ = constants(case)
+        assert rep(c, (r1, r2)) * sp.Matrix(unit) == sp.Matrix([r1, r2]), case
+    assert line("A2_1") == sp.expand(r1 ** 2 + beta * r1 * r2 - alpha * r2 ** 2)
+    # the A2_2 line is the A2_1 line with r1, r2 swapped and (alpha, beta) = (delta, gamma)
+    swapped = line("A2_1").subs({r1: r2, r2: r1, alpha: delta, beta: gamma}, simultaneous=True)
+    assert sp.expand(line("A2_2") - swapped) == 0
+    # A2_12: det = r1 r2, zero only on the coordinate axes
+    assert line("A2_12") == r1 * r2
+
+
+def test_the_rank_one_representative_is_the_point_of_the_line_nearest_the_origin():
+    norm2 = r1 ** 2 + r2 ** 2
+    point = {alpha: r1 ** 2 / norm2, beta: -r1 ** 3 / (r2 * norm2)}
+    assert sp.simplify(line("A2_1").subs(point)) == 0
+    # the line is n . (alpha, beta) = -r1^2 with normal n = (-r2^2, r1 r2);
+    # the nearest point is parallel to n
+    normal = (-r2 ** 2, r1 * r2)
+    assert sp.simplify(point[alpha] * normal[1] - point[beta] * normal[0]) == 0
+    # A2_2 by the swap: (gamma, delta) = (-r2^3 / r1, r2^2) / |r|^2
+    swapped = {gamma: -r2 ** 3 / (r1 * norm2), delta: r2 ** 2 / norm2}
+    assert sp.simplify(line("A2_2").subs(swapped)) == 0
+
+
+def test_the_rank_one_v_puts_r_s_v_into_rep():
+    s = sp.Matrix(sp.symbols("s1 s2", real=True))
+    r = sp.Matrix([r1, r2])
+    turn = sp.Matrix([[0, -1], [1, 0]])
+    on_the_line = {"A2_1": {alpha: (r1 ** 2 + beta * r1 * r2) / r2 ** 2},
+                   "A2_2": {delta: (r2 ** 2 + gamma * r1 * r2) / r1 ** 2},
+                   "A2_12": {r2: 0}}
+    for case in CASES:
+        c, _, _ = constants(case)
+        rank_one = rep(c, (r1, r2)).subs(on_the_line[case])
+        rr = r.subs(on_the_line[case])
+        w = rank_one.T * rr  # rep(r) = r w^T / |r|^2
+        assert is_zero(sp.simplify(rr * w.T - (rr.T * rr)[0] * rank_one)), case
+        v = s * w.T + (turn * s) * (turn * w).T
+        # s^T V = |s|^2 w^T, so r s^T V = |s|^2 |r|^2 rep(r)
+        assert is_zero(sp.simplify(rr * s.T * v - (s.T * s)[0] * (rr.T * rr)[0] * rank_one)), case
+        # V is |s| |w| times an orthogonal matrix: det V = |s|^2 |w|^2
+        assert sp.simplify(v.det() - (s.T * s)[0] * (w.T * w)[0]) == 0, case

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from phialg import quadratic
 from phialg.algebra import algebra_a2_1, algebra_a2_12, algebra_a2_2
@@ -10,11 +12,13 @@ from phialg.catalog import ALGEBRA_BUILDERS
 from phialg.errors import DegenerateParameters, PhialgError
 from phialg.maps import SmoothMap
 from phialg.quadratic import (
+    CASES,
+    WITNESS_TOL,
     QuadraticVF,
     _certify,
-    _grid_singular_values,
+    _jacobian_blocks,
+    _linear_witness,
     _pencil,
-    _stacked,
     algebrize,
     billiards_field,
     billiards_parameters,
@@ -127,7 +131,7 @@ def test_algebrize_linear_field():
 
 def test_algebrize_billiards_field():
     vf = billiards_field(1.0, 1.0, 1.0).quadratic_vf
-    witnesses = algebrize(vf, box=(-3.0, 3.0))
+    witnesses = algebrize(vf)
     match = [w for w in witnesses
              if w.case == "A2_1" and np.allclose(w.params, (-1.0, -1.0), atol=1e-6)]
     assert match
@@ -140,7 +144,7 @@ def test_algebrize_billiards_field():
 
 def test_witness_invariants(rng):
     vf = billiards_field(1.5, 0.8, 0.6).quadratic_vf
-    for w in algebrize(vf, box=(-4.0, 4.0)):
+    for w in algebrize(vf):
         m6 = build_M6(vf, w.case, w.params)
         scale = max(1.0, float(np.abs(m6).max()) * float(np.abs(w.v).max()))
         # v annihilates the rows actually used (M4 + M2 when a linear part exists)
@@ -190,7 +194,7 @@ def test_algebrize_roundtrip_constructed_fields(rng):
                        else algebra_a2_2(*params) if case == "A2_2" else algebra_a2_12())
             c_elem = alg_tmp.random_regular(rng)
             vf, alg = _forward_field(case, params, matrix, c_elem)
-            witnesses = algebrize(vf, box=(-3.0, 3.0), step=0.25)
+            witnesses = algebrize(vf)
             assert witnesses, (case, params)
             assert min(w.residual for w in witnesses) <= 1e-8
             found += 1
@@ -199,7 +203,7 @@ def test_algebrize_roundtrip_constructed_fields(rng):
 
 def test_phi_from_witness_certifies(rng):
     vf = billiards_field(1.0, 1.0, 1.0).quadratic_vf
-    witnesses = algebrize(vf, box=(-2.0, 2.0))
+    witnesses = algebrize(vf)
     fmap = vf.as_map()
     for w in witnesses:
         for _ in range(5):
@@ -252,21 +256,6 @@ def test_pencil_reproduces_m6_exactly(rng):
             assert np.array_equal(build_M6(vf, case, params), expected)
 
 
-def test_grid_scan_matches_per_point_svd(rng):
-    vf = QuadraticVF(a=tuple(rng.uniform(-2, 2, 6)), b=tuple(rng.uniform(-2, 2, 6)))
-    grid = np.arange(-2.0, 2.25, 0.5)
-    for case in ("A2_1", "A2_2"):
-        for include_linear in (False, True):
-            s_last, s_second = _grid_singular_values(vf, case, grid, include_linear)
-            per_point = np.array([
-                [np.linalg.svd(_stacked(vf, case, (x, y), include_linear), compute_uv=False)
-                 for y in grid]
-                for x in grid
-            ])
-            assert np.array_equal(s_last, per_point[..., -1])
-            assert np.array_equal(s_second, per_point[..., -2])
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_quadratic_vf_rejects_non_finite_coefficients(bad):
     with pytest.raises(PhialgError):
@@ -282,23 +271,27 @@ def test_quadratic_vf_rejects_coefficients_too_large_for_the_search(scale):
     QuadraticVF(a=(0.0, 0.0, 0.0, 1e60, -2e60, 0.0), b=(0.0,) * 6)  # still accepted
 
 
+LINEAR_VF = QuadraticVF(a=(0.5, 1.0, 2.0, 0.0, 0.0, 0.0), b=(-0.3, 3.0, 4.0, 0.0, 0.0, 0.0))
+# (1, 2) (s + s^2) with s = x + y: Jf = (1 + 2s) (1, 2) (1, 1)^T has rank one
+FLAT_VF = QuadraticVF(a=(0.0, 1.0, 1.0, 1.0, 2.0, 1.0), b=(0.0, 2.0, 2.0, 2.0, 4.0, 2.0))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_certification_rejects_non_finite_residual(monkeypatch, bad):
+    # the exact check fails closed: a defect that is not finite certifies nothing
     vf = billiards_field(1.0, 1.0, 1.0).quadratic_vf
     alpha, beta, v = billiards_parameters(1.0, 1.0, 1.0)
-    linear = QuadraticVF(a=(0.5, 1.0, 2.0, 0.0, 0.0, 0.0), b=(-0.3, 3.0, 4.0, 0.0, 0.0, 0.0))
-    assert _certify(vf, "A2_1", (alpha, beta), v) is not None
-    assert algebrize(linear)
-
-    def patch_residuals():
-        # a passing point, a non-finite one, then passing points
-        values = iter([0.0, bad] + [0.0] * 23)
-        monkeypatch.setattr(quadratic, "cre_residual", lambda *args: next(values))
-
-    patch_residuals()
-    assert _certify(vf, "A2_1", (alpha, beta), v) is None
-    patch_residuals()
-    assert algebrize(linear) == []
+    blocks = _jacobian_blocks(vf)
+    assert _certify(vf, blocks, "A2_1", (alpha, beta), v) is not None
+    assert _linear_witness(LINEAR_VF) is not None
+    spoiled = blocks.copy()
+    spoiled[1, 0, 1] = bad
+    linear_spoiled = _jacobian_blocks(LINEAR_VF)
+    linear_spoiled[2, 1, 0] = bad
+    monkeypatch.setattr(quadratic, "_jacobian_blocks", lambda vf: linear_spoiled)
+    with np.errstate(invalid="ignore"):
+        assert _certify(vf, spoiled, "A2_1", (alpha, beta), v) is None
+        assert _linear_witness(LINEAR_VF) is None
 
 
 @pytest.mark.parametrize("box, step", [
@@ -310,26 +303,36 @@ def test_algebrize_rejects_bad_box_or_step(box, step):
         algebrize(billiards_field(1.0, 1.0, 1.0).quadratic_vf, box=box, step=step)
 
 
-def test_algebrize_caps_the_grid_before_building_it():
-    # a linear field never builds the grid, so only the cap can reject it
-    linear = QuadraticVF(a=(0.5, 1.0, 2.0, 0.0, 0.0, 0.0), b=(-0.3, 3.0, 4.0, 0.0, 0.0, 0.0))
-    assert algebrize(linear, step=20.0 / 511)  # 512 points a side
-    for step in (20.0 / 512, 0.0005, 1e-300):
-        with pytest.raises(DegenerateParameters, match="MAX_GRID_CELLS"):
-            algebrize(linear, step=step)
-    with pytest.raises(DegenerateParameters, match="MAX_GRID_CELLS"):
-        algebrize(linear, box=(-1e308, 1e308))
+def test_fields_with_subnormal_coefficients_raise_no_warning():
+    # numpy's det adds up the logs of the LU pivots, so a pivot that
+    # underflows to 0 warns; the linear part's det and det(M4) meet one here
+    linear = QuadraticVF(a=(0.0, 0.0, 2e-314, 0.0, 0.0, 0.0), b=(0.0, 3e-314, 0.0, 0.0, 0.0, 0.0))
+    flat = QuadraticVF(a=(0.0, 0.0, 0.0, 0.0, 1.2246467991473532e-316, 6.123233995736766e-17),
+                       b=(0.0, 0.0, 0.0, 0.0, 2e-300, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [w] = algebrize(linear)
+        assert w.case == "A2_1" and np.isnan(w.v).all()
+        assert [w.case for w in algebrize(flat)] == ["A2_12", "A2_1"]
 
 
-# -- the commutator obstruction: skips only fields that nothing certifies --------
+def witness_key(w):
+    """Everything a witness prints, to the last bit."""
+    return (w.case, np.asarray(w.params, dtype=float).tobytes(), w.v.tobytes(),
+            np.asarray(w.phi.matrix).tobytes(), w.residual.hex(), float(w.det_m4).hex())
 
-CASES = ("A2_1", "A2_2", "A2_12")
-DEFAULT_GRID = np.arange(-10.0, 10.125, 0.25)  # algebrize's default box and step
+
+def test_algebrize_answer_does_not_depend_on_box_or_step():
+    # there is no parameter grid: a box or a step that once asked for about
+    # 1e600 cells, or a box without the witness, changes no bit of the answer
+    for vf in (LINEAR_VF, billiards_field(1.0, 1.0, 1.0).quadratic_vf, FLAT_VF):
+        expected = [witness_key(w) for w in algebrize(vf)]
+        assert expected
+        for box, step in (((-1e308, 1e308), 0.25), ((-10.0, 10.0), 1e-300), ((5.0, 6.0), 0.5)):
+            assert [witness_key(w) for w in algebrize(vf, box=box, step=step)] == expected
 
 
-def unguarded_search(vf):
-    """algebrize's scan path with its defaults, without the obstruction in front."""
-    return quadratic._search(vf, CASES, DEFAULT_GRID)
+# -- fields built in a family, flat fields and generic fields --------------------
 
 
 def built_coefficients(case, params, phi, c1, c2):
@@ -346,6 +349,13 @@ def built_coefficients(case, params, phi, c1, c2):
             + np.einsum("i,jm,ijk->km", c2, square, c)).reshape(-1)
 
 
+def flat_coefficients(r, s, g):
+    """The 12 coefficients of r (g0 + g1 t + g2 t^2), t = s . (x, y): Jf = (g1 + 2 g2 t) r s^T."""
+    g0, g1, g2 = g
+    return np.outer(r, [g0, g1 * s[0], g1 * s[1], g2 * s[0] ** 2, 2 * g2 * s[0] * s[1],
+                        g2 * s[1] ** 2]).reshape(-1)
+
+
 def as_field(coeffs):
     return QuadraticVF(a=tuple(coeffs[:6]), b=tuple(coeffs[6:]))
 
@@ -357,96 +367,160 @@ def linear_map(p):
     return rot[0] @ np.diag([s, sign * t]) @ rot[1]
 
 
+def rank_profile(vf):
+    """The singular values of B, the 3x4 matrix of the flattened blocks of Jf, over the largest."""
+    s = np.linalg.svd(_jacobian_blocks(vf).reshape(3, 4), compute_uv=False)
+    return s / s[0]
+
+
+def independently_certified(vf, w):
+    """The Cauchy-Riemann residual of calculus.cre_residual at points of [-3, 3]^2 is at most 1e-8."""
+    fmap = vf.as_map()
+    points = np.random.default_rng(3).uniform(-3.0, 3.0, (8, 2))
+    return max(cre_residual(fmap, w.phi, w.algebra, u) for u in points) <= 1e-8
+
+
+def on_line(w, r):
+    """The witness's parameters lie on its family's line of rank-one fits for a flat field along r."""
+    r1, r2 = r / np.linalg.norm(r)
+    if w.case == "A2_12":
+        return min(abs(r1), abs(r2)) <= 1e-12
+    if w.case == "A2_2":  # the A2_1 line after the swap: (gamma, delta) = (beta, alpha)
+        r1, r2 = r2, r1
+    alpha, beta = w.params if w.case == "A2_1" else w.params[::-1]
+    return abs(r1 * r1 + beta * r1 * r2 - alpha * r2 * r2) <= 1e-12 * max(1.0, abs(alpha), abs(beta))
+
+
 unit = st.floats(-1.0, 1.0)
 # the basis element that is singular once the family's second parameter is 0
 SINGULAR_ELEMENT = {"A2_1": (0.0, 1.0), "A2_2": (1.0, 0.0), "A2_12": (1.0, 0.0)}
+FOUND_FLAT = dict(kind="flat", case="A2_12", params=(0.0, 0.0), phi=np.eye(2), c1=(0.0, 0.0),
+                  c2=(0.0, 0.0), mode_exp=-2.0, angle=0.0, s=(1.0, 1.0), g=(0.3, 1.0, 1.0),
+                  coeffs=[0.0] * 12, scale_exp=0.0)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(case=st.sampled_from(CASES),
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(kind=st.sampled_from(("plain", "ill", "flat", "generic")), case=st.sampled_from(CASES),
        params=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
        phi=st.tuples(st.floats(0.0, np.pi), st.floats(0.6, 2.0), st.floats(0.6, 2.0),
                      st.sampled_from((1.0, -1.0)), st.floats(0.0, np.pi)).map(linear_map),
-       c1=st.tuples(unit, unit), c2=st.tuples(unit, unit),
-       mode=st.sampled_from(("plain", "ill", "flat")), mode_exp=st.floats(-6.0, -2.0),
-       angle=st.floats(0.0, np.pi), eps_exp=st.floats(-12.0, -1.0),
-       noise=st.lists(unit, min_size=12, max_size=12), scale_exp=st.floats(-10.0, 1.0))
-def test_obstruction_never_skips_a_field_the_search_certifies(
-        case, params, phi, c1, c2, mode, mode_exp, angle, eps_exp, noise, scale_exp):
-    """Whenever the scan would return a witness, the obstruction does not skip.
+       c1=st.tuples(unit, unit), c2=st.tuples(unit, unit), mode_exp=st.floats(-6.0, -2.0),
+       angle=st.one_of(st.sampled_from((0.0, np.pi / 2, np.pi)), st.floats(0.0, np.pi)),
+       s=st.tuples(unit, unit), g=st.tuples(unit, unit, unit),
+       coeffs=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
+       scale_exp=st.floats(-6.0, 1.0))
+@example(**FOUND_FLAT)
+def test_algebrize_decides_built_flat_and_generic_fields(
+        kind, case, params, phi, c1, c2, mode_exp, angle, s, g, coeffs, scale_exp):
+    """The closed forms find every kind of field's witnesses, and nothing on generic fields.
 
-    Checked in the equivalent form: whenever the obstruction skips, the scan
-    returns nothing.  Built fields c1 w + c2 w^2 are perturbed by a relative
-    eps and scaled.  In "ill" draws c2 sits near a singular element, so both
-    quadratic blocks are nearly singular; in "flat" draws the first component
-    is replaced by a function of one linear form, which a nearly singular
-    phi can nearly satisfy.
+    A field c1 w + c2 w^2 built in a family gets a witness in that family
+    with the built parameters; in "ill" draws c2 sits near a singular
+    element, so both quadratic blocks are nearly singular.  A flat field
+    r g(s . u) gets, for each family that fits, a witness on that family's
+    line.  A random field gets [].  Fields are scaled by 1e-6 to 10.
     """
+    scale = 10.0 ** scale_exp
+    if kind == "generic":
+        vf = as_field(scale * np.array(coeffs))
+        assume(vf.quadratic_norm > 0.0 and rank_profile(vf)[2] > 1e-3)
+        assert algebrize(vf) == []
+        return
+    if kind == "flat":
+        r, s = np.array([np.cos(angle), np.sin(angle)]), np.array(s)
+        assume(np.linalg.norm(s) > 0.1 and abs(g[2]) > 0.1)
+        # off an axis, keep r clear of it, where the families switch
+        assume(min(abs(r[0]), abs(r[1])) < 1e-15 or min(abs(r[0]), abs(r[1])) > 1e-3)
+        vf = as_field(scale * flat_coefficients(r, s, g))
+        fits = [c for c, coordinate in (("A2_12", min(abs(r))), ("A2_1", abs(r[1])),
+                                        ("A2_2", abs(r[0])))
+                if (coordinate > 1e-3) == (c != "A2_12")]
+        assert [w.case for w in algebrize(vf)] == fits
+        for family in fits:
+            [w] = algebrize(vf, cases=(family,))
+            assert on_line(w, r) and independently_certified(vf, w)
+        return
     params = params if case != "A2_12" else ()
-    c2 = np.array(c2)
-    if mode == "ill":
+    c1, c2 = np.array(c1), np.array(c2)
+    algebra = ALGEBRA_BUILDERS[case](params)
+    if kind == "ill":
         if case != "A2_12":
             params = (params[0], 0.0) if case == "A2_2" else (0.0, params[1])
+            algebra = ALGEBRA_BUILDERS[case](params)
         c2 = np.array(SINGULAR_ELEMENT[case]) + 10.0 ** mode_exp * c2
-    coeffs = built_coefficients(case, params, phi, np.array(c1), c2)
-    if mode == "flat":
-        p = np.array([np.cos(angle), np.sin(angle)])
-        l1, l2 = c1
-        coeffs[1:6] = [l1 * p[0], l1 * p[1], l2 * p[0] ** 2, 2 * l2 * p[0] * p[1], l2 * p[1] ** 2]
-    coeffs = coeffs + 10.0 ** eps_exp * np.abs(coeffs).max() * np.array(noise)
-    vf = as_field(10.0 ** scale_exp * coeffs)
-    if vf.quadratic_norm > 1e-14 and quadratic._obstructed(vf):
-        assert unguarded_search(vf) == []
+        assume(abs(np.linalg.det(algebra.rep(c1))) >= 0.05)
+    else:
+        assume(abs(np.linalg.det(algebra.rep(c2))) >= 0.05)
+    vf = as_field(scale * built_coefficients(case, params, phi, c1, c2))
+    witnesses = [w for w in algebrize(vf) if w.case == case]
+    assert len(witnesses) == 1, (case, params)
+    npt.assert_allclose(witnesses[0].params, params, rtol=0, atol=1e-6)
+    assert independently_certified(vf, witnesses[0])
 
 
 def test_obstruction_skips_generic_fields_without_a_scan(monkeypatch):
+    # generic fields have blocks of rank three, which no witness has: algebrize
+    # certifies and rejects at most one closed-form candidate per family, those
+    # of the nearest rank-two field
     rng = np.random.default_rng(11)
     fields = [as_field(rng.uniform(-2.0, 2.0, 12)) for _ in range(5)]
-    assert all(unguarded_search(vf) == [] for vf in fields)
+    assert all(rank_profile(vf)[2] > 0.1 for vf in fields)
+    certify, tried = quadratic._certify, []
 
-    def no_scan(*args):
-        raise AssertionError("the scan ran")
+    def counted(vf, blocks, case, params, v):
+        tried.append(case)
+        return certify(vf, blocks, case, params, v)
 
-    monkeypatch.setattr(quadratic, "_search", no_scan)
-    assert all(algebrize(vf) == [] for vf in fields)
+    monkeypatch.setattr(quadratic, "_certify", counted)
+    for vf in fields:
+        tried.clear()
+        assert algebrize(vf) == []
+        assert 1 <= len(tried) == len(set(tried)) <= 3
 
 
 def test_obstruction_leaves_a_single_ratio_to_the_search(rng):
-    # L0 = 0 makes the blocks dependent (one ratio only, which commutes with
-    # itself): billiards, and a quadratic part that no planar algebra fits
+    # L0 = 0 leaves two blocks, so the rank is at most two and the closed
+    # form decides: billiards, and a homogeneous quadratic field, whose
+    # span(I, N) is an algebra by Cayley-Hamilton (N^2 = tr(N) N - det(N) I)
     fields = [billiards_field(*abc).quadratic_vf for abc in ((1, 1, 1), (0.7, 1.3, 0.4))]
     quad = rng.uniform(-2.0, 2.0, (2, 3))
     fields.append(as_field(np.concatenate([[0, 0, 0], quad[0], [0, 0, 0], quad[1]])))
     for vf in fields:
-        assert not quadratic._obstructed(vf)
+        assert rank_profile(vf)[2] <= quadratic.RANK_RTOL
+        witnesses = algebrize(vf)
+        assert witnesses and all(independently_certified(vf, w) for w in witnesses)
 
 
 def test_obstruction_decides_singular_quadratic_blocks_only_when_they_are_independent():
-    # L1 = [[2, 0], [0, 0]] and L2 = 0 beside a generic linear part: the
-    # blocks are dependent, so the search decides
+    # L1 = [[2, 0], [0, 0]] and L2 = 0 beside a generic linear part: two
+    # independent blocks, so the closed form decides, and A2_2 fits
     vf = QuadraticVF(a=(0.3, 1.2, -0.7, 1.0, 0.0, 0.0), b=(0.5, 0.4, 2.0, 0.0, 0.0, 0.0))
-    assert not quadratic._obstructed(vf)
-    assert [w.params for w in algebrize(vf)] == [w.params for w in unguarded_search(vf)]
+    assert rank_profile(vf)[2] <= quadratic.RANK_RTOL
+    [w] = algebrize(vf)
+    assert w.case == "A2_2" and w.residual <= 1e-15 and independently_certified(vf, w)
+    npt.assert_allclose(w.params, (20.0 / 7.0, 0.0), rtol=0, atol=1e-14)
     # (x^2, y^2) has two singular blocks, diag(2, 0) and diag(0, 2); a linear
     # part off the diagonal makes the three blocks independent
     vf = QuadraticVF(a=(0.3, 1.2, -0.7, 1.0, 0.0, 0.0), b=(0.5, 0.4, 2.0, 0.0, 0.0, 1.0))
-    assert quadratic._obstructed(vf)
-    assert unguarded_search(vf) == []
+    assert rank_profile(vf)[2] > 0.1
+    assert algebrize(vf) == []
 
 
 def test_obstruction_leaves_scalar_ratios_to_the_search(rng):
-    # L0 = 2 L1: the blocks are dependent, and whichever block is L_j, the
-    # two ratios are multiples of one matrix
+    # L0 = 2 L1: the blocks span two dimensions, so the closed form decides
     a3, a4, a5, b3, b4, b5 = rng.uniform(-2.0, 2.0, 6)
     vf = QuadraticVF(a=(0.1, 4 * a3, 2 * a4, a3, a4, a5), b=(-0.4, 4 * b3, 2 * b4, b3, b4, b5))
-    assert not quadratic._obstructed(vf)
+    assert rank_profile(vf)[2] <= quadratic.RANK_RTOL
+    witnesses = algebrize(vf)
+    assert witnesses and all(independently_certified(vf, w) for w in witnesses)
 
 
-def test_obstruction_leaves_fields_near_a_singular_phi_to_the_search():
-    # The scan certifies both fields through a phi with condition number above
-    # 1e3, although their ratios L_i L_j^-1 are far from commuting.
+def test_fields_near_a_singular_phi_get_no_witness():
+    # The former grid search certified both fields through a phi with
+    # condition number 1e4 and 4e8.  Their blocks have rank three, so no
+    # linear phi fits, and the exact check rejects the closed forms.
     # (y + 2e-4 xy, 2x + 1e-4 x^2 + y^2): the square of a nilpotent element
-    # in the dual numbers, moved by 1e-4; it certifies in A2_1(5e-5, 0)
+    # in the dual numbers, moved by 1e-4
     dual = QuadraticVF(a=(0.0, 0.0, 1.0, 0.0, 2e-4, 0.0), b=(0.0, 2.0, 0.0, 1e-4, 0.0, 1.0))
     # a generic field whose first component depends on y alone, moved by 1e-8
     rng = np.random.default_rng(1)
@@ -454,38 +528,25 @@ def test_obstruction_leaves_fields_near_a_singular_phi_to_the_search():
     coeffs[[1, 3, 4]] = 0.0
     flat = as_field(coeffs + 1e-8 * rng.uniform(-1.0, 1.0, 12))
     for vf in (dual, flat):
-        assert unguarded_search(vf)
-        assert not quadratic._obstructed(vf)
+        assert rank_profile(vf)[2] > 1e-5
+        assert algebrize(vf) == []
 
 
-def test_obstruction_leaves_tiny_fields_to_the_search():
-    # certification's residual is absolute below |Jf| |phi| ~ 1, so a tiny
-    # generic field can certify; the bound grows as the field shrinks
+def test_tiny_generic_fields_get_no_witness():
+    # certification is relative to |B| |Phi|, so the answer does not depend
+    # on the scale of the field; the former grid residual, absolute below
+    # |Jf| |phi| ~ 1, certified this field scaled by 1e-9
     coeffs = np.random.default_rng(11).uniform(-2.0, 2.0, 12)
-    assert quadratic._obstructed(as_field(coeffs))
-    tiny = as_field(1e-9 * coeffs)
-    assert not quadratic._obstructed(tiny)
-    assert algebrize(tiny)
+    for scale in (1.0, 1e-9, 1e-12):
+        assert algebrize(as_field(scale * coeffs)) == []
 
 
-# -- the rank-two decision: the closed form, with no grid ------------------------
+# -- the closed forms: every exact witness, and the flat fields ------------------
 
 
-def witness_key(w):
-    """Everything a witness prints, to the last bit."""
-    return (w.case, np.asarray(w.params, dtype=float).tobytes(), w.v.tobytes(),
-            np.asarray(w.phi.matrix).tobytes(), w.residual.hex(), float(w.det_m4).hex())
-
-
-def is_subsequence(short, long):
-    rest = iter(long)
-    return all(any(key == other for other in rest) for key in short)
-
-
-def clean_rank_two(vf):
-    blocks = quadratic._jacobian_blocks(vf)
-    return quadratic._clean_rank_two(blocks, np.linalg.svd(blocks.reshape(3, 4),
-                                                            compute_uv=False))
+def generator(case, params):
+    """rep of the non-unit basis element: rep(A) = span(I, G)."""
+    return ALGEBRA_BUILDERS[case](params).rep(np.array([1.0, 0.0] if case != "A2_1" else [0.0, 1.0]))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -495,41 +556,64 @@ def clean_rank_two(vf):
                      st.sampled_from((1.0, -1.0)), st.floats(0.0, np.pi)).map(linear_map),
        c1=st.tuples(unit, unit), c2=st.tuples(unit, unit))
 def test_rank_two_answer_keeps_every_exact_witness_of_the_search(case, params, phi, c1, c2):
-    """On a built field of clean rank two, algebrize drops grid witnesses only.
+    """On a built field of rank two, algebrize returns every family that fits, and only those.
 
-    Its list is a subsequence of the unguarded search's, and every witness of
-    that search with a residual at rounding level is in it, bit for bit.
+    A witness's rep(A) is the span of the blocks times V, which for the built
+    field is span(I, G) with G the built algebra's generator.  A2_1's
+    generator has a 1 below the diagonal, so A2_1 fits exactly when G10 != 0;
+    by the swap A2_2 fits when G01 != 0, and A2_12 when G is diagonal.  Each
+    witness's own generator lies in span(I, G).
     """
-    vf = as_field(built_coefficients(case, params if case != "A2_12" else (), phi,
-                                     np.array(c1), np.array(c2)))
-    assume(vf.quadratic_norm > 1e-14 and clean_rank_two(vf))
-    fast = [witness_key(w) for w in algebrize(vf)]
-    full = unguarded_search(vf)
-    assert is_subsequence(fast, [witness_key(w) for w in full])
-    assert all(witness_key(w) in fast for w in full if w.residual <= 1e-12)
+    params = params if case != "A2_12" else ()
+    assume(all(p == 0.0 or abs(p) > 1e-3 for p in params))
+    assume(abs(np.linalg.det(ALGEBRA_BUILDERS[case](params).rep(np.array(c2)))) >= 0.05)
+    vf = as_field(built_coefficients(case, params, phi, np.array(c1), np.array(c2)))
+    g = generator(case, params)
+    fits = [c for c, holds in (("A2_12", g[0, 1] == g[1, 0] == 0.0), ("A2_1", g[1, 0] != 0.0),
+                               ("A2_2", g[0, 1] != 0.0)) if holds]
+    witnesses = algebrize(vf)
+    assert [w.case for w in witnesses] == fits
+    span = np.stack([np.eye(2).ravel(), g.ravel()])
+    for w in witnesses:
+        stacked = np.vstack([span, generator(w.case, w.params).ravel()])
+        s = np.linalg.svd(stacked, compute_uv=False)
+        assert s[2] <= 1e-9 * s[0]
+        assert w.residual <= 1e-13 and independently_certified(vf, w)
 
 
-def test_rank_two_fields_skip_the_grid_and_others_keep_it(monkeypatch):
-    built = [as_field(built_coefficients(case, params, linear_map((0.3, 1.2, 0.8, 1.0, 1.1)),
-                                         np.array([0.4, -0.7]), np.array([0.9, 0.5])))
-             for case, params in (("A2_1", (0.5, -1.5)), ("A2_2", (-0.75, 1.5)), ("A2_12", ()))]
-    # rank one: (1, 2) (s + s^2) with s = x + y, which a whole family of
-    # algebras fits, so only the scan finds its witnesses
-    flat = QuadraticVF(a=(0.0, 1.0, 1.0, 1.0, 2.0, 1.0), b=(0.0, 2.0, 2.0, 2.0, 4.0, 2.0))
-    # (x^2, y^2): rank two, but every block is singular
+def test_flat_and_singular_block_fields_get_closed_form_witnesses():
+    # rank one: each family's representative is the point of its line nearest
+    # the origin, r = (1, 2) / sqrt(5)
+    witnesses = algebrize(FLAT_VF)
+    assert [w.case for w in witnesses] == ["A2_1", "A2_2"]
+    npt.assert_allclose(witnesses[0].params, (0.2, -0.1), rtol=1e-14)
+    npt.assert_allclose(witnesses[1].params, (-1.6, 0.8), rtol=1e-14)
+    assert all(w.residual <= 3e-16 and independently_certified(FLAT_VF, w) for w in witnesses)
+    # every point of the A2_1 line 1 + 2 beta - 4 alpha = 0 fits, with V from
+    # s^T V = w^T for rep(r) = r w^T and s = (1, 1)
+    r, s = np.array([1.0, 2.0]), np.array([1.0, 1.0])
+    for beta in (-3.0, 0.5, 7.0):
+        algebra = algebra_a2_1((1.0 + 2.0 * beta) / 4.0, beta)
+        rank_one = algebra.rep(r)
+        assert abs(np.linalg.det(rank_one)) <= 1e-14
+        row = rank_one.T @ r / (r @ r)
+        npt.assert_allclose(np.outer(r, row), rank_one, atol=1e-14)
+        # s^T V = w^T, and a second equation that keeps V regular
+        v = np.linalg.solve(np.array([s, [-1.0, 1.0]]), np.array([row, [row[1], -row[0]]]))
+        phi = SmoothMap.linear(np.linalg.inv(v))
+        fmap = FLAT_VF.as_map()
+        assert max(cre_residual(fmap, phi, algebra, u)
+                   for u in np.random.default_rng(2).uniform(-3.0, 3.0, (6, 2))) <= 1e-14
+    # the axis-aligned flat field (0.3 + s + s^2, 0) fits A2_12 and A2_2(0, 0)
+    axis = QuadraticVF(a=(0.3, 1.0, 1.0, 1.0, 2.0, 1.0), b=(0.0,) * 6)
+    [w] = algebrize(axis, cases=("A2_12",))
+    assert w.residual <= 1e-15 and independently_certified(axis, w)
+    assert [w.case for w in algebrize(axis)] == ["A2_12", "A2_2"]
+    # (x^2, y^2): rank two, every block singular, but the span holds I
     singular = QuadraticVF(a=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0), b=(0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
-    assert all(clean_rank_two(vf) for vf in built)
-    assert not clean_rank_two(flat) and not clean_rank_two(singular)
-    assert len(algebrize(flat)) > 2
-
-    def no_scan(*args):
-        raise AssertionError("the grid scan ran")
-
-    monkeypatch.setattr(quadratic, "_grid_singular_values", no_scan)
-    assert all(algebrize(vf) for vf in built)
-    for vf in (flat, singular):
-        with pytest.raises(AssertionError, match="grid scan"):
-            algebrize(vf)
+    assert all(abs(np.linalg.det(block)) == 0.0 for block in _jacobian_blocks(singular))
+    [w] = algebrize(singular)
+    assert w.case == "A2_12" and w.residual == 0.0 and independently_certified(singular, w)
 
 
 def built_fields(case, count, seed):
@@ -564,9 +648,10 @@ def test_a_field_built_in_a_family_has_a_witness_in_that_family(case):
      -0.11458049061046496, 0.4070361170390858, -0.26434718983930244, -0.2539107059839335),
 ])
 def test_witnesses_of_built_fields_hold_outside_the_verify_grid(coeffs):
-    # the grid scan certifies approximate A2_1 witnesses on these fields that
-    # pass on [-1, 1]^2 and fail further out, with residuals above 1e-8
-    # along lines through these points; their clean rank two skips the scan
+    # the former grid search certified approximate A2_1 witnesses on these
+    # fields that passed on [-1, 1]^2 and failed further out, with residuals
+    # above 1e-8 along lines through these points; the exact check decides
+    # on the whole plane
     vf = as_field(np.array(coeffs))
     witnesses = algebrize(vf)
     assert witnesses
