@@ -5,7 +5,9 @@ first-order PDE system that characterizes differentiability relative to them.
 Recovery goes the other way for two-equation planar systems whose coefficients
 are polynomials of degree <= 1 in (x, y): it matches the system against the
 three planar algebra families, extracts the parameters, verifies that the
-candidate gradient fields are conservative, and integrates them to potentials.
+candidate gradient fields are conservative, integrates them to potentials and
+checks that they re-emit the system.  Each test is an identity of the
+coefficient blocks, so it decides on the whole plane, with no sample points.
 """
 
 from __future__ import annotations
@@ -191,8 +193,8 @@ class TwoPDESystem:
     """<A : dw> = F with A a 2x4 matrix of degree <= 1 polynomials in (x, y).
 
     Columns follow ``COLUMNS``: (u_x, u_y, v_x, v_y).  ``coeffs`` has shape
-    (2, 4, 3) with the last axis holding [constant, x, y] parts; ``rhs`` has
-    shape (2, 3).
+    (2, 4, 3) with the last axis holding [constant, x, y] parts, or (2, 4) for
+    constant coefficients; ``rhs`` has shape (2, 3).
     """
 
     def __init__(self, coeffs, rhs=None):
@@ -204,15 +206,6 @@ class TwoPDESystem:
         self.coeffs = coeffs
         self.rhs = np.zeros((2, 3)) if rhs is None else np.asarray(rhs, dtype=float)
 
-    @classmethod
-    def from_constant(cls, matrix, rhs=None):
-        m = np.asarray(matrix, dtype=float)
-        r = None
-        if rhs is not None:
-            r = np.zeros((2, 3))
-            r[:, 0] = np.asarray(rhs, dtype=float)
-        return cls(m, rhs=r)
-
     def at(self, point):
         x, y = point
         mon = np.array([1.0, x, y])
@@ -221,12 +214,6 @@ class TwoPDESystem:
     def rhs_at(self, point):
         x, y = point
         return self.rhs @ np.array([1.0, x, y])
-
-    def residual(self, f, u):
-        jf = f.jacobian(np.asarray(u, dtype=float))
-        dw = np.array([jf[0, 0], jf[0, 1], jf[1, 0], jf[1, 1]])
-        scale = 1.0 + float(np.linalg.norm(jf))
-        return float(np.abs(self.at(u) @ dw - self.rhs_at(u)).max()) / scale
 
     @property
     def homogeneous(self):
@@ -265,14 +252,10 @@ def two_pde_from_cre(system):
     if system.k != 2 or system.n != 2 or not system.constant:
         raise DimensionMismatch("need a constant-coefficient system with k = n = 2")
     # a flattened (2, 2) block reads (u_x, u_y, v_x, v_y), the COLUMNS order
-    return TwoPDESystem.from_constant(system.coefficient_tensor().reshape(2, 4))
+    return TwoPDESystem(system.coefficient_tensor().reshape(2, 4))
 
 
 # -- recovery -------------------------------------------------------------------
-
-_SAMPLES = np.array(
-    [[1.3, 0.7], [-0.9, 1.7], [0.6, -1.1], [2.1, 1.9], [-1.4, -0.8], [0.35, 2.3]]
-)
 
 
 @dataclass
@@ -285,33 +268,33 @@ class Recovery:
     mixing: np.ndarray  # the row transformation applied to the input system
     # nonhomogeneous input: the recovered pair describes the homogeneous part
     # only, and the caller must supply a particular solution to shift by
-    needs_particular_solution: bool = False
+    needs_particular_solution: bool
 
 
 def _poly_matmul(m, block):
-    """Constant 2x2 times a (2, 2, 3) polynomial block."""
+    """Constant 2x2 times a (2, c, 3) polynomial block."""
     return np.einsum("qr,ril->qil", m, block)
 
 
 def _constant_ratio(num, den):
-    """P with num = P den pointwise, if P is constant; None otherwise."""
-    mats = []
-    for pt in _SAMPLES:
-        mon = np.array([1.0, pt[0], pt[1]])
-        d = den @ mon
-        nmat = num @ mon
-        # scale-free singularity test: det/|d|^2 is invariant under d -> c*d
-        if abs(np.linalg.det(d)) < 1e-10 * float(np.abs(d).max()) ** 2 + 1e-300:
-            continue
-        mats.append(nmat @ np.linalg.inv(d))
-    if len(mats) < 3:
+    """Constant P with num = P den as polynomials, or None.
+
+    None when det(den), a quadratic in (x, y), vanishes identically.  P is
+    solved on the largest-|det| 2x2 minor of den's six coefficient columns
+    and must reproduce every coefficient of num.
+    """
+    # det(den) at (x, y) is m^T T m for the monomials m = (1, x, y)
+    t = np.outer(den[0, 0], den[1, 1]) - np.outer(den[0, 1], den[1, 0])
+    if float(np.abs(t + t.T).max()) <= 1e-10 * float(np.abs(den).max()) ** 2:
         return None
-    mats = np.stack(mats)
-    mean = mats.mean(axis=0)
-    dev = float(np.abs(mats - mean).max())
-    if dev > PATTERN_RTOL * (1.0 + float(np.abs(mean).max())):
+    d, n = den.reshape(2, 6), num.reshape(2, 6)
+    a, b = np.triu_indices(6, 1)
+    best = int(np.argmax(np.abs(d[0, a] * d[1, b] - d[0, b] * d[1, a])))
+    minor = [a[best], b[best]]
+    p = np.linalg.solve(d[:, minor].T, n[:, minor].T).T
+    if float(np.abs(p @ d - n).max()) > PATTERN_RTOL * float((np.abs(p) @ np.abs(d)).max()):
         return None
-    return mean
+    return p
 
 
 def _integrate_rotated_gradient(g_row):
@@ -374,36 +357,6 @@ def _left_null_vector(block):
     return u[:, -1]
 
 
-def _finish(case, params, algebra, mixing, g_block, normalize_rows):
-    if _conservative_defect(g_block) > CONSERVATIVE_RTOL:
-        raise NoMatch("conservativeness", f"case {case}")
-    pots = np.stack([_integrate_rotated_gradient(g_block[q]) for q in range(2)])
-    if normalize_rows:
-        for q in range(2):
-            nz = np.nonzero(np.abs(pots[q]) > 1e-12)[0]
-            if nz.size and pots[q, nz[0]] < 0:
-                pots[q] = -pots[q]
-                mixing[q] = -mixing[q]
-    phi = quadratic_map(pots, name=f"recovered-{case}")
-    return Recovery(case=case, params=params, algebra=algebra, phi=phi,
-                    potential_coeffs=pots, mixing=mixing)
-
-
-class _PointwiseCRE:
-    """Adapter giving emit-like 2x4 rows at points, for equivalence checks."""
-
-    def __init__(self, algebra, phi):
-        self.algebra = algebra
-        self.phi = phi
-
-    def at(self, point):
-        jphi = self.phi.jacobian(np.asarray(point, dtype=float))
-        return _cr_blocks(self.algebra, jphi, 0, 1).reshape(2, 4)
-
-    def rhs_at(self, point):
-        return np.zeros(2)
-
-
 def find_equivalence_matrix(s1, s2, points, tol=EQUIV_TOL, det_tol=1e-12):
     """Pointwise row transformations M with M*A1 = A2 and M*F1 = F2.
 
@@ -432,15 +385,27 @@ class EquivalenceMap:
     matrices: list
 
 
+def _emitted_blocks(algebra, pots):
+    """(2, 4, 3) coefficients of the Cauchy-Riemann system of (algebra, quadratic_map(pots)).
+
+    The blocks are linear in J phi = J0 + x J1 + y J2, so the coefficient of
+    each monomial is ``_cr_blocks`` of its Jacobian.
+    """
+    jacobians = (pots[:, [3, 4]], np.stack([2.0 * pots[:, 0], pots[:, 1]], axis=1),
+                 np.stack([pots[:, 1], 2.0 * pots[:, 2]], axis=1))
+    return np.stack([_cr_blocks(algebra, j, 0, 1).reshape(2, 4) for j in jacobians], axis=-1)
+
+
 def recover_phi_algebra(system, cases=("A2_1", "A2_2", "A2_12")):
     """Recover (phi, algebra, case) from a homogeneous two-equation system.
 
     The attempt order is the ``cases`` argument; the first case that matches
     the pattern, passes the conservativeness test, and whose re-emitted system
-    is equivalent to the input wins.  Potentials carry zero integration
-    constants, and the result is unique only up to multiplication of phi by a
-    regular constant of the recovered algebra (families can also overlap, so
-    restricting ``cases`` pins the family when the caller knows it).
+    is equivalent to the input wins.  Every test is an identity of the
+    coefficient blocks, so it holds on the whole plane.  Potentials carry zero
+    integration constants, and the result is unique only up to multiplication
+    of phi by a regular constant of the recovered algebra (families can also
+    overlap, so restricting ``cases`` pins the family when the caller knows it).
 
     A nonhomogeneous input is matched on its homogeneous part and flagged:
     solutions of the full system are then (differentiable function composed
@@ -448,60 +413,65 @@ def recover_phi_algebra(system, cases=("A2_1", "A2_2", "A2_12")):
     """
     if not system.rows_independent():
         raise NoMatch("pattern", "coefficient rows are dependent")
-    nonhomogeneous = not system.homogeneous
-    if nonhomogeneous:
-        system = TwoPDESystem(system.coeffs)
     b_u = system.coeffs[:, 0:2, :]
     b_v = system.coeffs[:, 2:4, :]
     saw_conservativeness = False
     last_detail = ""
 
     for case in cases:
-        try:
-            if case in ("A2_1", "A2_2"):
-                # A2_1: b_v = P b_u, params (-det P, tr P); A2_2: b_u = P b_v, (tr P, -det P)
-                unit_e1 = case == "A2_1"
-                num, den = (b_v, b_u) if unit_e1 else (b_u, b_v)
-                p = _constant_ratio(num, den)
-                if p is None:
-                    continue
-                trace, neg_det = float(np.trace(p)), -float(np.linalg.det(p))
-                params = (neg_det, trace) if unit_e1 else (trace, neg_det)
-                mixing = _cyclic_mixing(p, diag_first=unit_e1)
-                if mixing is None:
-                    continue
-                algebra = (algebra_a2_1 if unit_e1 else algebra_a2_2)(*params)
-                rec = _finish(case, params, algebra, mixing, _poly_matmul(mixing, den),
-                              normalize_rows=False)
-            elif case == "A2_12":
-                m1 = _left_null_vector(b_v)
-                m2 = _left_null_vector(b_u)
-                if m1 is None or m2 is None:
-                    continue
-                mixing = np.stack([m1, m2])
-                if abs(np.linalg.det(mixing)) < 1e-9:
-                    continue
-                g_block = np.stack([
-                    np.einsum("r,ril->il", m1, b_u),
-                    np.einsum("r,ril->il", m2, b_v),
-                ])
-                rec = _finish(case, (), algebra_a2_12(), mixing, g_block,
-                              normalize_rows=True)
-            else:
-                raise ValueError(f"unknown case {case!r}")
-        except NoMatch as exc:
-            saw_conservativeness = True
-            last_detail = str(exc)
-            continue
+        if case in ("A2_1", "A2_2"):
+            # A2_1: b_v = P b_u, params (-det P, tr P); A2_2: b_u = P b_v, (tr P, -det P)
+            unit_e1 = case == "A2_1"
+            num, den = (b_v, b_u) if unit_e1 else (b_u, b_v)
+            p = _constant_ratio(num, den)
+            mixing = None if p is None else _cyclic_mixing(p, diag_first=unit_e1)
+            if mixing is None:
+                continue
+            trace, neg_det = float(np.trace(p)), -float(np.linalg.det(p))
+            params = (neg_det, trace) if unit_e1 else (trace, neg_det)
+            algebra = (algebra_a2_1 if unit_e1 else algebra_a2_2)(*params)
+            g_block = _poly_matmul(mixing, den)
+        elif case == "A2_12":
+            m1 = _left_null_vector(b_v)
+            m2 = _left_null_vector(b_u)
+            if m1 is None or m2 is None:
+                continue
+            mixing = np.stack([m1, m2])
+            if abs(np.linalg.det(mixing)) < 1e-9:
+                continue
+            params, algebra = (), algebra_a2_12()
+            g_block = np.stack([
+                np.einsum("r,ril->il", m1, b_u),
+                np.einsum("r,ril->il", m2, b_v),
+            ])
+        else:
+            raise ValueError(f"unknown case {case!r}")
 
-        # self-certification: the recovered pair must reproduce the input system
-        try:
-            find_equivalence_matrix(_PointwiseCRE(rec.algebra, rec.phi), system, _SAMPLES)
-        except NotEquivalent as exc:
-            last_detail = f"case {case} re-emission mismatch: {exc}"
+        if _conservative_defect(g_block) > CONSERVATIVE_RTOL:
+            saw_conservativeness = True
+            last_detail = f"case {case}"
             continue
-        rec.needs_particular_solution = nonhomogeneous
-        return rec
+        pots = np.stack([_integrate_rotated_gradient(g_block[q]) for q in range(2)])
+        if case == "A2_12":
+            # the split family fixes each row only up to sign: make the first
+            # non-zero potential coefficient positive
+            for q in range(2):
+                nz = np.nonzero(np.abs(pots[q]) > 1e-12)[0]
+                if nz.size and pots[q, nz[0]] < 0:
+                    pots[q] = -pots[q]
+                    mixing[q] = -mixing[q]
+
+        # self-certification: the recovered pair re-emits the mixed input
+        mixed = _poly_matmul(mixing, system.coeffs)
+        resid = float(np.abs(_emitted_blocks(algebra, pots) - mixed).max())
+        resid /= max(1.0, float(np.abs(mixed).max()))
+        if resid > EQUIV_TOL:
+            last_detail = f"case {case} re-emission mismatch: residual {resid:.3e}"
+            continue
+        return Recovery(case=case, params=params, algebra=algebra,
+                        phi=quadratic_map(pots, name=f"recovered-{case}"),
+                        potential_coeffs=pots, mixing=mixing,
+                        needs_particular_solution=not system.homogeneous)
 
     stage = "conservativeness" if saw_conservativeness else "pattern"
     raise NoMatch(stage, last_detail)

@@ -47,12 +47,13 @@ def solution_residual(w, rhs, phi, algebra, grid, step=RESIDUAL_STEP, broadcasts
         def rhs(ts, ws):
             return np.stack([rhs_at(t, wt) for t, wt in zip(ts, ws)])
 
-    values = np.asarray(w(taus))
-    dw = fd_jacobian(w, taus, base=step)
-    jphi = phi.batch_jacobian(taus)
-    target = algebra.rep(rhs(taus, values)) @ jphi
-    residuals = [float(np.linalg.norm(d - t)) / (1.0 + float(np.linalg.norm(j)))
-                 for d, t, j in zip(dw, target, jphi)]
+    with np.errstate(all="ignore"):  # an overflow shows as a nan or inf residual
+        values = np.asarray(w(taus))
+        dw = fd_jacobian(w, taus, base=step)
+        jphi = phi.batch_jacobian(taus)
+        target = algebra.rep(rhs(taus, values)) @ jphi
+        residuals = [float(np.linalg.norm(d - t)) / (1.0 + float(np.linalg.norm(j)))
+                     for d, t, j in zip(dw, target, jphi)]
     return SolutionSamples(taus=list(taus), values=values, max_residual=worst_of(residuals))
 
 

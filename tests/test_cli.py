@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,28 @@ def test_nan_residual_prints_null_and_fails_under_json(capsys):
     # the plain run reports the same failure
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1 and "residual nan" in out
+
+
+def test_overflowing_ode_check_prints_null_without_a_warning(capsys):
+    argv = ["--json", "ode", "solve", "--family", "exp", "--algebra", "C", "--phi", "identity2",
+            "--C", "1e308,1e308"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    assert (code, err) == (1, "")
+    assert payload["max_residual"] is None and payload["pass"] is False
+    assert [str(w.message) for w in caught] == []
+
+
+def test_recover_failure_names_the_stage_once(tmp_path, capsys):
+    # phi_y = x and phi_x = -x for u: not a gradient
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"A": [[{"x": 1.0}, {"x": 1.0}, 0.0, 0.0],
+                                      [0.0, 0.0, 1.0, {"y": 1.0}]]}))
+    code, out, _ = run_cli(capsys, "cre", "recover", "--file", str(path))
+    assert code == 1
+    assert out == "no match: no match at stage 'conservativeness': case A2_12\n"
 
 
 def test_non_finite_value_of_a_passing_payload_fails_under_json(capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from phialg.algebra import (
     a3_1_dependent_params,
@@ -14,8 +15,9 @@ from phialg.algebra import (
     complex_algebra,
 )
 from phialg.calculus import phi_polynomial
-from phialg.catalog import nonlinear_3to2_map, swap_map, swap_sum_map
+from phialg.catalog import ALGEBRA_BUILDERS, nonlinear_3to2_map, swap_map, swap_sum_map
 from phialg.cre import (
+    EQUIV_TOL,
     CREquation,
     CRESystem,
     TwoPDESystem,
@@ -305,7 +307,84 @@ def test_recover_rejects_nonconservative():
     coeffs[1, 3] = [0, 0, 1]
     with pytest.raises(NoMatch) as err:
         recover_phi_algebra(TwoPDESystem(coeffs))
-    assert err.value.stage in ("conservativeness", "pattern")
+    # the stage is named once, with the last case that failed it
+    assert str(err.value) == "no match at stage 'conservativeness': case A2_12"
+
+
+def test_den_singular_everywhere_is_a_pattern_mismatch():
+    # num = P den exactly, with P = rep(e2) of A2_1(2, 3), but det(den) = 0 on the
+    # whole plane; A2_12 is left out, as its generator would fit the second system
+    p = np.array([[0.0, 2.0], [1.0, 3.0]])
+    columns = np.zeros((2, 2, 3))
+    columns[0, 0], columns[0, 1] = [0, 2, -1], [0, 4, -2]  # (2x - y) (u_x + 2 u_y), conservative
+    columns[1, 0], columns[1, 1] = [1, 0, 0], [2, 0, 0]
+    rows = np.zeros((2, 2, 3))
+    rows[0, 0], rows[0, 1] = [0, 0, 1], [0, 1, 0]  # y u_x + x u_y
+    rows[1] = 2.0 * rows[0]
+    for den in (columns, rows):
+        num = np.einsum("qr,ril->qil", p, den)
+        for coeffs, case in ((np.concatenate([den, num], axis=1), "A2_1"),
+                             (np.concatenate([num, den], axis=1), "A2_2")):
+            with pytest.raises(NoMatch) as err:
+                recover_phi_algebra(TwoPDESystem(coeffs), cases=("A2_1", "A2_2"))
+            assert err.value.stage == "pattern", case
+
+
+def _emitted(algebra, pots):
+    """(2, 4, 3) coefficients of emit_cre(algebra, quadratic_map(pots)), read at three points."""
+    system = emit_cre(algebra, quadratic_map(pots))
+    at = [np.stack([eq.coeffs_at(u) for eq in system.equations]).reshape(2, 4)
+          for u in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))]
+    return np.stack([at[0], at[1] - at[0], at[2] - at[0]], axis=-1)
+
+
+entry = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=st.sampled_from(("A2_1", "A2_2", "A2_12", "random")),
+       params=st.tuples(entry, entry),
+       linear=st.lists(entry, min_size=4, max_size=4),
+       quadratic=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       mixing=st.lists(entry, min_size=4, max_size=4),
+       scale_exp=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+# phi = (l1^2, l2^2) / 2 for two lines that each pass through two of the points
+# (1.3, 0.7), (-0.9, 1.7), (0.6, -1.1), (2.1, 1.9): J phi is singular on both
+# lines, so a test of the ratio at those points, not on the whole plane, finds
+# too few points and misses the match
+@example(case="A2_1", params=(0.5, -1.0), linear=[-2.84, -6.248, -10.35, 5.175],
+         quadratic=[0.5, 2.2, 2.42, 4.5, -4.5, 1.125], mixing=[1.0, 0.5, -0.5, 1.0],
+         scale_exp=0.0, seed=0)
+def test_recovery_is_exact_on_mixed_built_systems_and_refuses_random_ones(
+        case, params, linear, quadratic, mixing, scale_exp, seed):
+    if case == "random":
+        coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, 4, 3))
+        with pytest.raises(NoMatch):
+            recover_phi_algebra(TwoPDESystem(coeffs))
+        return
+    lin, m = np.reshape(linear, (2, 2)), np.reshape(mixing, (2, 2))
+    assume(abs(np.linalg.det(lin)) >= 0.3 and abs(np.linalg.det(m)) >= 0.3)
+    params = params if case != "A2_12" else ()
+    pots = np.concatenate([np.reshape(quadratic, (2, 3)), lin], axis=1)
+    coeffs = np.einsum("qr,ril->qil", m, _emitted(ALGEBRA_BUILDERS[case](params), pots))
+    coeffs *= 10.0 ** scale_exp
+    rec = recover_phi_algebra(TwoPDESystem(coeffs), cases=(case,))
+    assert rec.case == case
+    npt.assert_allclose(rec.params, params, rtol=1e-9, atol=1e-9)
+    mixed = np.einsum("qr,ril->qil", rec.mixing, coeffs)
+    defect = np.abs(_emitted(rec.algebra, rec.potential_coeffs) - mixed).max()
+    assert defect <= EQUIV_TOL * max(1.0, np.abs(mixed).max())
+
+
+@pytest.mark.parametrize("case", ["A2_1", "A2_2"])
+def test_recovery_keeps_the_parameters_under_an_ill_conditioned_mixing(case):
+    # det M = 2e-3: the minor solve keeps the parameters within 7e-11, where
+    # normal equations (the condition number squared) lose them or the match
+    pots = np.array([[0.25, 0.5, -0.25, 1.0, 0.5], [0.5, 0.25, -0.5, -0.5, 1.0]])
+    m = np.array([[1.0, 1.0], [1.0, 1.002]])
+    coeffs = np.einsum("qr,ril->qil", m, _emitted(ALGEBRA_BUILDERS[case]((0.5, -1.0)), pots))
+    rec = recover_phi_algebra(TwoPDESystem(coeffs), cases=(case,))
+    npt.assert_allclose(rec.params, (0.5, -1.0), rtol=1e-9, atol=1e-9)
 
 
 def test_recover_rejects_random_system(rng):
@@ -316,21 +395,21 @@ def test_recover_rejects_random_system(rng):
 
 def test_equivalence_matrix_identity_scale_and_failure(rng):
     base = rng.uniform(-1, 1, (2, 4))
-    s1 = TwoPDESystem.from_constant(base)
+    s1 = TwoPDESystem(base)
     points = [rng.uniform(-1, 1, 2) for _ in range(4)]
 
     eq = find_equivalence_matrix(s1, s1, points)
     for m in eq.matrices:
         npt.assert_allclose(m, np.eye(2), atol=1e-10)
 
-    s2 = TwoPDESystem.from_constant(np.diag([2.0, 3.0]) @ base)
+    s2 = TwoPDESystem(np.diag([2.0, 3.0]) @ base)
     eq = find_equivalence_matrix(s1, s2, points)
     for m in eq.matrices:
         npt.assert_allclose(m, np.diag([2.0, 3.0]), atol=1e-10)
 
     other = rng.uniform(-1, 1, (2, 4)) + np.array([[3.0, 0, 0, 0], [0, 0, 0, 3.0]])
     with pytest.raises(NotEquivalent):
-        find_equivalence_matrix(s1, TwoPDESystem.from_constant(other), points)
+        find_equivalence_matrix(s1, TwoPDESystem(other), points)
 
 
 def test_two_pde_json_roundtrip():

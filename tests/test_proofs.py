@@ -49,6 +49,19 @@ For the pencil (quadratic._pencil), each branch, the derived A2_2 one
 included, is exactly the coefficient system of Jf V in rep(A): its two
 equations at (x, y) are K vec(Jf(x, y) V) = 0 for a rank-two K whose kernel
 is rep(A), for symbolic coefficients, parameters and V.
+
+For recovery (cre.recover_phi_algebra), which decides on the coefficient
+blocks of a planar system, not on sample points:
+
+* the re-emitted coefficients of quadratic potentials (cre._emitted_blocks)
+  are the Cauchy-Riemann blocks of J phi(x, y) at every point (x, y);
+* for any invertible mixing M of the rows, the block b_g of the non-unit
+  generator g is P b_unit with P = M rep(g) M^-1, and P gives the family
+  parameters: (-det P, tr P) = (alpha, beta) for A2_1 and
+  (tr P, -det P) = (gamma, delta) for A2_2;
+* the determinant of a degree-one 2x2 block at (x, y) is m^T T m for the
+  monomials m = (1, x, y) and the T of cre._constant_ratio, so it vanishes
+  on the whole plane exactly when T + T^T = 0.
 """
 
 import itertools
@@ -57,7 +70,9 @@ from types import SimpleNamespace
 import numpy as np
 import sympy as sp
 
+from phialg.algebra import Algebra
 from phialg.catalog import ALGEBRA_BUILDERS
+from phialg.cre import _cr_blocks, _emitted_blocks
 from phialg.quadratic import QuadraticVF, _jacobian_blocks, _pencil
 
 alpha, beta, gamma, delta = sp.symbols("alpha beta gamma delta", real=True)
@@ -336,3 +351,69 @@ def test_the_rank_one_v_puts_r_s_v_into_rep():
         assert is_zero(sp.simplify(rr * s.T * v - (s.T * s)[0] * (rr.T * rr)[0] * rank_one)), case
         # V is |s| |w| times an orthogonal matrix: det V = |s|^2 |w|^2
         assert sp.simplify(v.det() - (s.T * s)[0] * (w.T * w)[0]) == 0, case
+
+
+def bilinear(func, size):
+    """func(algebra, v) over symbolic structure constants c (8) and a symbolic v (size).
+
+    func is bilinear in c and v, so its values on unit constants and unit v
+    fix it; the last check confirms it on exactly representable values.
+    """
+    def algebra(c):
+        return Algebra(np.reshape(c, (2, 2, 2)), [1.0, 0.0], check=False)
+
+    units = np.array([[func(algebra(cu), vu) for vu in np.eye(size)] for cu in np.eye(8)])
+    assert np.array_equal(units, units.round())
+    units = units.astype(int).astype(object)
+
+    def at(c, v):
+        return np.tensordot(np.array(v, dtype=object),
+                            np.tensordot(np.array(c, dtype=object), units, axes=1), axes=1)
+
+    sample_c = np.arange(1, 9) / 4.0 * (-1.0) ** np.arange(8)
+    sample_v = np.arange(1, size + 1) / 8.0
+    assert np.array_equal(func(algebra(sample_c), sample_v), at(sample_c, sample_v).astype(float))
+    return at
+
+
+def test_the_re_emitted_blocks_are_the_cauchy_riemann_blocks_of_j_phi_on_the_whole_plane():
+    x, y = sp.symbols("x y", real=True)
+    c, pots = sp.symbols("c0:8", real=True), sp.symbols("q0:10", real=True)
+    emitted = bilinear(lambda alg, v: _emitted_blocks(alg, v.reshape(2, 5)), 10)(c, pots)
+    cr_blocks = bilinear(lambda alg, v: _cr_blocks(alg, v.reshape(2, 2), 0, 1).reshape(2, 4), 4)
+    phi = sp.Matrix(2, 5, pots) * sp.Matrix([x * x, x * y, y * y, x, y])
+    expected = cr_blocks(c, list(phi.jacobian([x, y])))
+    affine = emitted[..., 0] + x * emitted[..., 1] + y * emitted[..., 2]
+    assert is_zero(sp.Matrix((affine - expected).tolist()))
+
+
+def test_the_mixed_generator_block_is_p_times_the_unit_block_and_p_gives_the_parameters():
+    m = sp.Matrix(2, 2, sp.symbols("m0:4", real=True))
+    jphi = sp.Matrix(2, 2, sp.symbols("j0:4", real=True))
+    for case, params in (("A2_1", (alpha, beta)), ("A2_2", (gamma, delta))):
+        c, _, g = constants(case)
+        # the columns (u_x, u_y) or (v_x, v_y): b_k[q] = (rep(phi_y)[q, k], -rep(phi_x)[q, k])
+        b_unit, b_g = (sp.Matrix.hstack(rep(c, jphi[:, 1])[:, k], -rep(c, jphi[:, 0])[:, k])
+                       for k in (1 - g, g))
+        p = m * generator(c, g) * m.inv()
+        assert is_zero(sp.simplify(m * b_g - p * (m * b_unit))), case
+        read = (-p.det(), p.trace()) if case == "A2_1" else (p.trace(), -p.det())
+        assert all(sp.simplify(r - want) == 0 for r, want in zip(read, params)), case
+
+
+def test_the_determinant_of_a_degree_one_block_is_the_form_of_the_outer_products():
+    x, y = sp.symbols("x y", real=True)
+    den = np.array(sp.symbols("d0:12", real=True), dtype=object).reshape(2, 2, 3)
+    monomials = sp.Matrix([1, x, y])
+    block = sp.Matrix(2, 2, lambda r, i: sum(den[r, i, l] * monomials[l] for l in range(3)))
+    t = sp.Matrix(np.outer(den[0, 0], den[1, 1]) - np.outer(den[0, 1], den[1, 0]))
+    assert sp.expand(block.det() - (monomials.T * t * monomials)[0]) == 0
+    # m^T T m = m^T S m / 2 with S = T + T^T, and each entry of the symmetric S
+    # is a coefficient of m^T S m (the off-diagonal ones doubled), so the
+    # determinant vanishes identically exactly when S = 0
+    s = t + t.T
+    form = sp.Poly(sp.expand((monomials.T * s * monomials)[0]), x, y).as_dict()
+    expected = {(0, 0): s[0, 0], (2, 0): s[1, 1], (0, 2): s[2, 2],
+                (1, 0): 2 * s[0, 1], (0, 1): 2 * s[0, 2], (1, 1): 2 * s[1, 2]}
+    assert form.keys() == expected.keys()
+    assert all(sp.expand(form[k] - v) == 0 for k, v in expected.items())
