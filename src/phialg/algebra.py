@@ -55,6 +55,17 @@ def _svd_regular(r):
     return bool((s[..., 0] != 0.0).all() and (s[..., -1] >= SINGULAR_RTOL * s[..., 0]).all())
 
 
+def rep_from_rows(rows, a):
+    """rep(a) = a @ rows for (..., n) elements a and the (n, n*n) rows of the basis reps.
+
+    One (1, n) @ (n, n*n) product per element, the same arithmetic for a
+    single element and for each element of a stack.
+    """
+    a = np.asarray(a)
+    n = rows.shape[0]
+    return (a[..., None, :] @ rows)[..., 0, :].reshape(a.shape[:-1] + (n, n))
+
+
 class Algebra:
     """Commutative unital algebra defined by its structure constants.
 
@@ -150,14 +161,8 @@ class Algebra:
         return np.einsum("...i,...j,ijk->...k", np.asarray(a), np.asarray(b), self.constants)
 
     def rep(self, a):
-        """First fundamental representation: the matrix of multiplication by ``a``.
-
-        One (1, n) @ (n, n*n) product per element, the same arithmetic for a
-        single element and for each element of a stack.
-        """
-        a = np.asarray(a)
-        rows = (a[..., None, :] @ self._rep_rows)[..., 0, :]
-        return rows.reshape(a.shape[:-1] + (self.dim, self.dim))
+        """First fundamental representation: the matrix of multiplication by ``a``."""
+        return rep_from_rows(self._rep_rows, a)
 
     def is_regular(self, a, rtol=SINGULAR_RTOL):
         s = np.linalg.svd(self.rep(a), compute_uv=False)

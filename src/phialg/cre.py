@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, algebra_a2_1, algebra_a2_2, algebra_a2_12
-from .errors import DimensionMismatch, NoMatch, NotEquivalent
+from .errors import DegenerateParameters, DimensionMismatch, NoMatch, NotEquivalent
 from .maps import SmoothMap, worst_of
 
 PATTERN_RTOL = 1e-9
@@ -194,7 +194,8 @@ class TwoPDESystem:
 
     Columns follow ``COLUMNS``: (u_x, u_y, v_x, v_y).  ``coeffs`` has shape
     (2, 4, 3) with the last axis holding [constant, x, y] parts, or (2, 4) for
-    constant coefficients; ``rhs`` has shape (2, 3).
+    constant coefficients; ``rhs`` has shape (2, 3).  A non-finite entry of
+    either raises DegenerateParameters naming it.
     """
 
     def __init__(self, coeffs, rhs=None):
@@ -205,6 +206,12 @@ class TwoPDESystem:
             raise DimensionMismatch(f"coefficients must be (2, 4[, 3]), got {coeffs.shape}")
         self.coeffs = coeffs
         self.rhs = np.zeros((2, 3)) if rhs is None else np.asarray(rhs, dtype=float)
+        for name, arr in (("A", self.coeffs), ("F", self.rhs)):
+            if not np.isfinite(arr).all():
+                *entry, part = bad = np.argwhere(~np.isfinite(arr))[0]
+                raise DegenerateParameters(
+                    f"non-finite coefficient {name}{''.join(f'[{i}]' for i in entry)} "
+                    f"({('constant', 'x', 'y')[part]} part): {arr[tuple(bad)]}")
 
     def at(self, point):
         x, y = point
@@ -276,6 +283,13 @@ def _poly_matmul(m, block):
     return np.einsum("qr,ril->qil", m, block)
 
 
+def _det_vanishes(block):
+    """Whether det(block) of a (2, 2, 3) polynomial block, a quadratic in (x, y), is identically 0."""
+    # det(block) at (x, y) is m^T T m for the monomials m = (1, x, y)
+    t = np.outer(block[0, 0], block[1, 1]) - np.outer(block[0, 1], block[1, 0])
+    return float(np.abs(t + t.T).max()) <= 1e-10 * float(np.abs(block).max()) ** 2
+
+
 def _constant_ratio(num, den):
     """Constant P with num = P den as polynomials, or None.
 
@@ -283,9 +297,7 @@ def _constant_ratio(num, den):
     solved on the largest-|det| 2x2 minor of den's six coefficient columns
     and must reproduce every coefficient of num.
     """
-    # det(den) at (x, y) is m^T T m for the monomials m = (1, x, y)
-    t = np.outer(den[0, 0], den[1, 1]) - np.outer(den[0, 1], den[1, 0])
-    if float(np.abs(t + t.T).max()) <= 1e-10 * float(np.abs(den).max()) ** 2:
+    if _det_vanishes(den):
         return None
     d, n = den.reshape(2, 6), num.reshape(2, 6)
     a, b = np.triu_indices(6, 1)
@@ -450,6 +462,10 @@ def recover_phi_algebra(system, cases=("A2_1", "A2_2", "A2_12")):
         if _conservative_defect(g_block) > CONSERVATIVE_RTOL:
             saw_conservativeness = True
             last_detail = f"case {case}"
+            continue
+        # A2_1 and A2_2 refused such a den in _constant_ratio; here det(g_block) is det J phi
+        if case == "A2_12" and _det_vanishes(g_block):
+            last_detail = "case A2_12: det J phi vanishes identically"
             continue
         pots = np.stack([_integrate_rotated_gradient(g_block[q]) for q in range(2)])
         if case == "A2_12":

@@ -52,7 +52,9 @@ class Path:
         self.closed = bool(closed)
         self.broadcasts = bool(broadcasts)
         if closed:
-            gap = float(np.linalg.norm(self.point(0.0) - self.point(self.t1)))
+            # a gap past the largest float is inf, which fails the check below
+            with np.errstate(over="ignore"):
+                gap = float(np.linalg.norm(self.point(0.0) - self.point(self.t1)))
             if gap > CLOSED_TOL:
                 raise ValueError(f"path marked closed but endpoint gap is {gap:.3e}")
 

@@ -28,7 +28,11 @@ Every candidate is certified exactly.  With phi linear the Cauchy-Riemann
 defect at (x, y) is D0 + x D1 + y D2, with
 D_l = rep(Phi_y) L_l[:, 0] - rep(Phi_x) L_l[:, 1] (tests/test_proofs.py), so
 the three coefficient defects decide it on the whole plane
-(``_relative_defect``).
+(``_relative_defect``).  rep comes from the family member's two rep rows,
+which hold only 0, 1 and the parameters (``_rep_rows``), with the arithmetic
+of ``Algebra.rep``; the validated ``Algebra`` is built for a witness only.
+Validation could not reject a candidate anyway: every proposed parameter is
+below about 2 / PARAM_RTOL, where a member's axioms hold to rounding.
 
 The 6x4 matrix M6 of the paper, whose null vectors are the V of the
 witnesses, is affine in the two family parameters, M6(p, q) = M0 + p M1 +
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra_a2_1
+from .algebra import algebra_a2_1, rep_from_rows
 from .calculus import cre_residual  # noqa: F401  (perfbench's span recorder patches this binding)
 from .catalog import ALGEBRA_BUILDERS
 from .errors import DegenerateParameters, DimensionMismatch
@@ -191,13 +195,21 @@ class AlgebrizationWitness:
     algebra: object
 
 
-def phi_from_v(v):
-    """phi(s, t) = (d s - b t, a t - c s) / (ad - bc); the inverse of [[a,b],[c,d]]."""
+def _phi_matrix(v):
+    """The matrix of phi_from_v(v), or None when |ad - bc| is at most DET_MIN."""
     a, b, c, d = v
     det = a * d - b * c
     if abs(det) <= DET_MIN:
-        raise DegenerateParameters(f"ad - bc = {det:.3e} too small")
-    m = np.array([[d, -b], [-c, a]]) / det
+        return None
+    return np.array([[d, -b], [-c, a]]) / det
+
+
+def phi_from_v(v):
+    """phi(s, t) = (d s - b t, a t - c s) / (ad - bc); the inverse of [[a,b],[c,d]]."""
+    m = _phi_matrix(v)
+    if m is None:
+        a, b, c, d = v
+        raise DegenerateParameters(f"ad - bc = {a * d - b * c:.3e} too small")
     return SmoothMap.linear(m, name="phi(v)")
 
 
@@ -211,27 +223,50 @@ def _jacobian_blocks(vf):
     ])
 
 
-def _relative_defect(blocks, phi, algebra):
+# the rep rows of A2_12, rep(a) = diag(a)
+_A2_12_ROWS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
+
+def _rep_rows(case, params):
+    """The (2, 4) rows of the family member, as ``Algebra`` stores them: rep(a) = a @ rows.
+
+    They hold only 0, 1 and the two parameters: A2_1(alpha, beta) has
+    rep(e2) = [[0, alpha], [1, beta]], A2_2(gamma, delta) has
+    rep(e1) = [[gamma, 1], [delta, 0]], and the unit's rep is I.
+    """
+    if case == CASE_A2_1:
+        alpha, beta = params
+        return np.array([[1.0, 0.0, 0.0, 1.0], [0.0, alpha, 1.0, beta]])
+    if case == CASE_A2_2:
+        gamma, delta = params
+        return np.array([[gamma, 1.0, delta, 0.0], [1.0, 0.0, 0.0, 1.0]])
+    return _A2_12_ROWS
+
+
+def _relative_defect(blocks, phi, rows):
     """max |D_l| / (|B| |Phi|): the Cauchy-Riemann defect of the field on the whole plane.
 
     D_l = rep(Phi_y) L_l[:, 0] - rep(Phi_x) L_l[:, 1] is the coefficient of
     the l-th monomial of 1, x, y in the defect, which is affine in (x, y)
-    for a linear phi.  Non-finite when any defect is.
+    for a linear phi; rep is that of the family member with rep rows
+    ``rows``.  Non-finite when any defect is.
     """
-    rep_x, rep_y = algebra.rep(phi.T)
+    rep_x, rep_y = rep_from_rows(rows, phi.T)
     defect = float(np.abs(blocks[:, :, 0] @ rep_y.T - blocks[:, :, 1] @ rep_x.T).max())
     scale = float(np.linalg.norm(blocks)) * float(np.linalg.norm(phi))
     return defect / scale if scale else defect
 
 
 def _certify(vf, blocks, case, params, v):
-    """The witness of (case, params, V) when its relative defect is at most WITNESS_TOL, else None."""
-    try:
-        phi = phi_from_v(v)
-    except DegenerateParameters:
+    """The witness of (case, params, V) when its relative defect is at most WITNESS_TOL, else None.
+
+    The defect needs only the member's rep rows; the validated algebra and
+    phi's map are built for a witness alone (see the module docstring).
+    """
+    phi = _phi_matrix(v)
+    if phi is None:
         return None
-    algebra = ALGEBRA_BUILDERS[case](params)
-    residual = _relative_defect(blocks, phi.matrix, algebra)
+    residual = _relative_defect(blocks, phi, _rep_rows(case, params))
     if not residual <= WITNESS_TOL:
         return None
     # numpy's det adds up the logs of the LU pivots: a pivot that underflows
@@ -239,7 +274,8 @@ def _certify(vf, blocks, case, params, v):
     with np.errstate(divide="ignore"):
         det_m4 = abs(float(np.linalg.det(build_M4(vf, case, params))))
     return AlgebrizationWitness(case=case, params=tuple(params), v=np.asarray(v, dtype=float),
-                                phi=phi, residual=residual, det_m4=det_m4, algebra=algebra)
+                                phi=phi_from_v(v), residual=residual, det_m4=det_m4,
+                                algebra=ALGEBRA_BUILDERS[case](params))
 
 
 def _linear_witness(vf):
@@ -249,13 +285,12 @@ def _linear_witness(vf):
     v = np.full(4, np.nan)
     if abs(lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]) > DET_MIN:
         v = np.linalg.inv(lin).ravel()
-    algebra = algebra_a2_1(0.0, 0.0)
-    residual = _relative_defect(blocks, lin, algebra)
+    residual = _relative_defect(blocks, lin, _rep_rows(CASE_A2_1, (0.0, 0.0)))
     if not residual <= WITNESS_TOL:
         return None
     return AlgebrizationWitness(case=CASE_A2_1, params=(0.0, 0.0), v=v,
                                 phi=SmoothMap.linear(lin, name="linear-part"),
-                                residual=residual, det_m4=0.0, algebra=algebra)
+                                residual=residual, det_m4=0.0, algebra=algebra_a2_1(0.0, 0.0))
 
 
 def _best_conditioned(m1, m2):
@@ -323,7 +358,7 @@ def _rank_one_candidates(k):
     turn = np.array([[0.0, -1.0], [1.0, 0.0]])
     out = []
     for case, params in candidates:
-        w = ALGEBRA_BUILDERS[case](params).rep(r).T @ r
+        w = rep_from_rows(_rep_rows(case, params), r).T @ r
         w = w / np.linalg.norm(w)
         v = (np.outer(s, w) + np.outer(turn @ s, turn @ w)) / math.sqrt(2.0)
         out.append((case, params, v.ravel()))

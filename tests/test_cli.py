@@ -399,6 +399,25 @@ def test_recover_failure_names_the_stage_once(tmp_path, capsys):
     assert out == "no match: no match at stage 'conservativeness': case A2_12\n"
 
 
+def test_recover_names_a_non_finite_coefficient(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text('{"A": [[NaN, 1, 0, 0], [0, 0, 1, 1]]}')
+    code, out, err = run_cli(capsys, "cre", "recover", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: non-finite coefficient A[0][0] (constant part): nan\n"
+
+
+def test_closed_loop_of_overflowing_radius_fails_with_one_error_line(capsys):
+    argv = ["--json", "integrate", "--loop", "circle:r=1e300", "--f", "phi^3",
+            "--phi", "identity2", "--algebra", "C"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: path marked closed but endpoint gap is inf\n"
+    assert [str(w.message) for w in caught] == []
+
+
 def test_non_finite_value_of_a_passing_payload_fails_under_json(capsys):
     # phi^3 along a segment of length 1e200 overflows; the payload said "pass": true
     code, out, err = run_cli(capsys, "--json", "integrate", "--loop",

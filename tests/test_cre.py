@@ -28,7 +28,7 @@ from phialg.cre import (
     recover_phi_algebra,
     two_pde_from_cre,
 )
-from phialg.errors import DimensionMismatch, NoMatch, NotEquivalent
+from phialg.errors import DegenerateParameters, DimensionMismatch, NoMatch, NotEquivalent
 from phialg.maps import SmoothMap
 
 
@@ -328,6 +328,38 @@ def test_den_singular_everywhere_is_a_pattern_mismatch():
             with pytest.raises(NoMatch) as err:
                 recover_phi_algebra(TwoPDESystem(coeffs), cases=("A2_1", "A2_2"))
             assert err.value.stage == "pattern", case
+
+
+def test_a2_12_match_with_a_singular_phi_everywhere_is_a_pattern_mismatch():
+    # b_u = (y u_x + x u_y) (1, 2) and b_v = P b_u: both blocks have dependent
+    # rows, so A2_1 and A2_2 refuse their den; A2_12's null vectors fit, but
+    # their potentials are multiples of x^2 - y^2, so det J phi = 0 everywhere
+    b_u = np.zeros((2, 2, 3))
+    b_u[0, 0, 2] = b_u[0, 1, 1] = 1.0
+    b_u[1] = 2.0 * b_u[0]
+    b_v = np.einsum("qr,ril->qil", np.array([[0.0, 2.0], [1.0, 3.0]]), b_u)
+    system = TwoPDESystem(np.concatenate([b_u, b_v], axis=1))
+    for cases in (("A2_12",), ("A2_1", "A2_2", "A2_12")):
+        with pytest.raises(NoMatch) as err:
+            recover_phi_algebra(system, cases=cases)
+        assert err.value.stage == "pattern"
+        assert str(err.value) == "no match at stage 'pattern': case A2_12: det J phi vanishes identically"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_two_pde_system_rejects_non_finite_input_naming_it(bad):
+    coeffs = np.zeros((2, 4, 3))
+    coeffs[1, 2, 1] = bad
+    with pytest.raises(DegenerateParameters, match=r"coefficient A\[1\]\[2\] \(x part\)"):
+        TwoPDESystem(coeffs)
+    flat = np.eye(2, 4)
+    flat[0, 3] = bad
+    with pytest.raises(DegenerateParameters, match=r"coefficient A\[0\]\[3\] \(constant part\)"):
+        TwoPDESystem(flat)
+    rhs = np.zeros((2, 3))
+    rhs[0, 2] = bad
+    with pytest.raises(DegenerateParameters, match=r"coefficient F\[0\] \(y part\)"):
+        TwoPDESystem(np.eye(2, 4), rhs=rhs)
 
 
 def _emitted(algebra, pots):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from phialg import quadratic
-from phialg.algebra import algebra_a2_1, algebra_a2_12, algebra_a2_2
+from phialg.algebra import Algebra, algebra_a2_1, algebra_a2_12, algebra_a2_2, rep_from_rows
 from phialg.calculus import cre_residual
 from phialg.catalog import ALGEBRA_BUILDERS
 from phialg.errors import DegenerateParameters, PhialgError
@@ -660,3 +660,57 @@ def test_witnesses_of_built_fields_hold_outside_the_verify_grid(coeffs):
               (-2.0, -2.0), (2.0, 2.0), (1.0, -2.0), (2.0, -3.0)]
     for w in witnesses:
         assert max(cre_residual(fmap, w.phi, w.algebra, np.array(u)) for u in points) <= 1e-8
+
+
+# -- certification from the family's rep rows -------------------------------------
+
+
+def test_rep_rows_are_those_the_built_algebra_stores_bit_for_bit(rng):
+    values = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-9, 2e9, -1e10, 1.0 / 3.0,
+              *rng.uniform(-3.0, 3.0, 6), *(np.float64(x) for x in rng.standard_normal(6))]
+    elements = rng.standard_normal((5, 2)) * 10.0 ** rng.uniform(-6, 6, (5, 1))
+    members = [("A2_12", ())] + [(case, (p, q)) for case in ("A2_1", "A2_2")
+                                 for p, q in zip(values, values[::-1])]
+    for case, params in members:
+        algebra = ALGEBRA_BUILDERS[case](params)
+        rows = quadratic._rep_rows(case, params)
+        assert rows.dtype == algebra._rep_rows.dtype and rows.shape == algebra._rep_rows.shape
+        assert rows.tobytes() == algebra._rep_rows.tobytes(), (case, params)
+        assert rep_from_rows(rows, elements).tobytes() == algebra.rep(elements).tobytes()
+        assert rep_from_rows(rows, elements[0]).tobytes() == algebra.rep(elements[0]).tobytes()
+
+
+# every parameter algebrize proposes is below about 2 / PARAM_RTOL = 2e9
+bounded = st.floats(-1e10, 1e10, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(["A2_1", "A2_2"]), bounded, bounded)
+@example("A2_1", 1e10, 1e10)
+@example("A2_2", -1e10, 1e10)
+@example("A2_1", 5e-324, -1e10)
+def test_every_member_a_candidate_can_name_passes_validation(case, p, q):
+    # so building the validated algebra for witnesses only drops no check
+    # that could fire on a rejected candidate
+    ALGEBRA_BUILDERS[case]((p, q))._validate()
+
+
+def test_algebras_are_built_for_witnesses_only(monkeypatch):
+    rng = np.random.default_rng(3)
+    generic = [as_field(rng.uniform(-2.0, 2.0, 12)) for _ in range(8)]
+    built = [vf for case in ("A2_1", "A2_2", "A2_12") for vf in built_fields(case, 3, seed=9)]
+    built += [billiards_field(1.0, 1.0, 1.0).quadratic_vf, FLAT_VF, LINEAR_VF]
+    init, count = Algebra.__init__, []
+
+    def counted(self, *args, **kwargs):
+        count.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Algebra, "__init__", counted)
+    for vf in generic:
+        count.clear()
+        assert algebrize(vf) == [] and len(count) == 0
+    for vf in built:
+        count.clear()
+        witnesses = algebrize(vf)
+        assert witnesses and len(count) == len(witnesses)
