@@ -49,10 +49,10 @@ def _clears_margin(r):
     return np.abs(np.linalg.det(t)) >= n ** n * INVERSE_MARGIN * SINGULAR_RTOL
 
 
-def _svd_regular(r):
-    """Whether every matrix of the (m, n, n) stack r passes the SVD rule of ``inverse``."""
-    s = np.linalg.svd(r, compute_uv=False)
-    return bool((s[..., 0] != 0.0).all() and (s[..., -1] >= SINGULAR_RTOL * s[..., 0]).all())
+def _regular(s):
+    """Where the singular values s (..., n), largest first, pass the rule of
+    ``inverse``: smax != 0 and smin >= SINGULAR_RTOL * smax.  A nan fails."""
+    return (s[..., 0] != 0.0) & (s[..., -1] >= SINGULAR_RTOL * s[..., 0])
 
 
 def rep_from_rows(rows, a):
@@ -164,9 +164,11 @@ class Algebra:
         """First fundamental representation: the matrix of multiplication by ``a``."""
         return rep_from_rows(self._rep_rows, a)
 
-    def is_regular(self, a, rtol=SINGULAR_RTOL):
-        s = np.linalg.svd(self.rep(a), compute_uv=False)
-        return bool(s[0] > 0.0 and s[-1] > rtol * s[0])
+    def is_regular(self, a):
+        """Whether ``inverse`` accepts a: False, with no warning, when rep(a) is not finite."""
+        with np.errstate(all="ignore"):
+            r = self.rep(a)
+        return bool(np.isfinite(r).all() and _regular(np.linalg.svd(r, compute_uv=False)))
 
     def inverse(self, a):
         """The element b with a b = e; raises SingularElement on the singular set.
@@ -204,9 +206,10 @@ class Algebra:
                 if not np.isfinite(r).all():
                     raise SingularElement(f"element {a} has a representation that overflows")
                 s = np.linalg.svd(r, compute_uv=False)
-                if s[0] == 0.0 or s[-1] < SINGULAR_RTOL * s[0]:
+                if not _regular(s):
                     raise SingularElement(f"element {a} is singular (smin/smax={s[-1]:.2e}/{s[0]:.2e})")
-            elif not (np.isfinite(doubtful).all() and _svd_regular(doubtful)):
+            elif not (np.isfinite(doubtful).all()
+                      and _regular(np.linalg.svd(doubtful, compute_uv=False)).all()):
                 return self._inverse_each(a)
         return np.linalg.solve(r, self.unit)
 
@@ -262,6 +265,8 @@ class Algebra:
 
     @classmethod
     def from_dict(cls, data, check=True):
+        if not isinstance(data, dict):
+            raise DimensionMismatch(f"an algebra is a JSON object, got {type(data).__name__}")
         scalars = data["scalars"]
         return cls(
             _decode(data["constants"], scalars),
@@ -284,8 +289,13 @@ def _encode(arr, scalars):
 
 
 def _decode(data, scalars):
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except TypeError as exc:  # an object or a null where a number belongs
+        raise DimensionMismatch(f"expected an array of numbers, got {data!r}") from exc
     if scalars == "complex":
+        if arr.shape[-1:] != (2,):
+            raise DimensionMismatch(f"complex entries are [re, im] pairs, got shape {arr.shape}")
         return arr[..., 0] + 1j * arr[..., 1]
     return arr
 

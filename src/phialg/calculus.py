@@ -46,15 +46,15 @@ def phi_derivative(f, phi, algebra, u):
     set) the minimum-norm solution is returned with unique=False.
 
     ``u`` is one point, shape (k,), or an (m, k) stack of points.  A stack
-    takes one ``batch_jacobian`` call per map and one ``rep`` call; the
+    takes one stacked ``jacobian`` call per map and one ``rep`` call; the
     least-squares solve and the norms stay per point, so every point gets the
     bits of its own single-point call.  The report then holds arrays: the
     derivatives (m, n), the residuals (m,) and the uniqueness flags (m,).
     """
     _check_shapes(f, phi, algebra)
     u = np.asarray(u, dtype=float)
-    jf = f.batch_jacobian(u)
-    jphi = phi.batch_jacobian(u)
+    jf = f.jacobian(u)
+    jphi = phi.jacobian(u)
     # the system of each point: the k blocks rep(dphi_u e_i), one under the other
     systems = algebra.rep(np.swapaxes(jphi, -1, -2)).reshape(u.shape[:-1] + (-1, algebra.dim))
     rhs = np.swapaxes(jf, -1, -2).reshape(u.shape[:-1] + (-1,))
@@ -97,7 +97,7 @@ def find_regular_direction(phi, algebra, u, rng=None, tries=64):
 
     Basis directions are tried first, then ``tries`` random unit vectors.
     A None return signals that the image of dphi_u likely sits inside the
-    singular set.
+    singular set, or that dphi_u is not finite.
     """
     u = np.asarray(u, dtype=float)
     jphi = phi.jacobian(u)
@@ -111,7 +111,9 @@ def find_regular_direction(phi, algebra, u, rng=None, tries=64):
         if norm > 1e-12:
             candidates.append(v / norm)
     for xi in candidates:
-        if algebra.is_regular(jphi @ xi):
+        with np.errstate(all="ignore"):  # a non-finite Jacobian gives an image that is not regular
+            image = jphi @ xi
+        if algebra.is_regular(image):
             return xi
     return None
 
@@ -150,11 +152,11 @@ def phi_polynomial(coeffs, phi, algebra, name="poly"):
     dcoeffs = poly_derivative_coeffs(coeffs)
 
     def func(u):
-        return _poly_eval(coeffs, algebra, phi.batch(u))
+        return _poly_eval(coeffs, algebra, phi(u))
 
     def jac(u):
-        g = _poly_eval(dcoeffs, algebra, phi.batch(u))
-        return algebra.rep(g) @ phi.batch_jacobian(u)
+        g = _poly_eval(dcoeffs, algebra, phi(u))
+        return algebra.rep(g) @ phi.jacobian(u)
 
     return SmoothMap(phi.k, algebra.dim, func, jac=jac, name=name, broadcasts=phi.broadcasts)
 
@@ -172,13 +174,13 @@ def phi_rational(num_coeffs, den_coeffs, phi, algebra, name="rational"):
     dden = poly_derivative_coeffs(den)
 
     def func(u):
-        w = phi.batch(u)
+        w = phi(u)
         # the inverse raises SingularElement on the singular set
         return algebra.product(_poly_eval(num, algebra, w),
                                algebra.inverse(_poly_eval(den, algebra, w)))
 
     def jac(u):
-        w = phi.batch(u)
+        w = phi(u)
         p = _poly_eval(num, algebra, w)
         q = _poly_eval(den, algebra, w)
         qinv = algebra.inverse(q)
@@ -189,7 +191,7 @@ def phi_rational(num_coeffs, den_coeffs, phi, algebra, name="rational"):
             algebra.product(dp, q) - algebra.product(p, dq),
             algebra.product(qinv, qinv),
         )
-        return algebra.rep(deriv) @ phi.batch_jacobian(u)
+        return algebra.rep(deriv) @ phi.jacobian(u)
 
     return SmoothMap(phi.k, algebra.dim, func, jac=jac, name=name, broadcasts=phi.broadcasts)
 

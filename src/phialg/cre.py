@@ -182,10 +182,18 @@ def emit_weighted_cre(algebra, phi, k_weight, l_weight):
 COLUMNS = ("u_x", "u_y", "v_x", "v_y")
 
 
-def _poly_entry(value):
-    """Accept a number or {"const","x","y"} dict; return length-3 coefficients."""
+def _poly_array(value):
+    """JSON coefficients, each a number or a {"const", "x", "y"} object, in
+    nested lists, as an array with a trailing [constant, x, y] axis."""
+    if isinstance(value, list):
+        parts = [_poly_array(v) for v in value]
+        if len({p.shape for p in parts}) > 1:
+            raise DimensionMismatch(f"coefficient lists of unequal lengths: {value}")
+        return np.array(parts)
     if isinstance(value, dict):
-        return np.array([value.get("const", 0.0), value.get("x", 0.0), value.get("y", 0.0)], dtype=float)
+        return np.array([value.get(key, 0.0) for key in ("const", "x", "y")], dtype=float)
+    if not isinstance(value, (int, float, str)):
+        raise DimensionMismatch(f"a coefficient is a number or a {{const, x, y}} object, got {value!r}")
     return np.array([float(value), 0.0, 0.0])
 
 
@@ -206,6 +214,8 @@ class TwoPDESystem:
             raise DimensionMismatch(f"coefficients must be (2, 4[, 3]), got {coeffs.shape}")
         self.coeffs = coeffs
         self.rhs = np.zeros((2, 3)) if rhs is None else np.asarray(rhs, dtype=float)
+        if self.rhs.shape != (2, 3):
+            raise DimensionMismatch(f"right-hand side must be (2, 3), got {self.rhs.shape}")
         for name, arr in (("A", self.coeffs), ("F", self.rhs)):
             if not np.isfinite(arr).all():
                 *entry, part = bad = np.argwhere(~np.isfinite(arr))[0]
@@ -244,14 +254,11 @@ class TwoPDESystem:
 
     @classmethod
     def from_json(cls, data):
-        coeffs = np.zeros((2, 4, 3))
-        for q, row in enumerate(data["A"]):
-            for col, value in enumerate(row):
-                coeffs[q, col] = _poly_entry(value)
-        rhs = np.zeros((2, 3))
-        for q, value in enumerate(data.get("F", [0.0, 0.0])):
-            rhs[q] = _poly_entry(value)
-        return cls(coeffs, rhs=rhs)
+        """The system of a ``to_json`` object: "A" is 2 x 4 coefficients and the
+        optional "F" 2, each a number or a {"const", "x", "y"} object."""
+        if not isinstance(data, dict):
+            raise DimensionMismatch(f"a system is a JSON object, got {type(data).__name__}")
+        return cls(_poly_array(data["A"]), rhs=_poly_array(data.get("F", [0.0, 0.0])))
 
 
 def two_pde_from_cre(system):

@@ -5,9 +5,9 @@ algebra product f(gamma(s)) * dphi_{gamma(s)}(gamma'(s)); quadrature is
 composite Simpson with a fixed subdivision count, which keeps the cost
 deterministic and the error O(N^-4) for smooth integrands.
 
-All Simpson nodes are evaluated in one pass: the path's points and velocities
-at every node, then ``f.batch`` and ``phi.batch_jacobian`` on the whole stack
-(see ``maps`` for which maps do that natively), then one algebra product.
+All Simpson nodes are evaluated in one pass: the path at the array of node
+parameters, then ``f`` and ``phi.jacobian`` on the stack of points (see
+``maps`` for which maps take it in one call), then one algebra product.
 ``Path.segment`` and ``Path.circle`` give their nodes as array expressions;
 a path built from a user ``gamma`` is evaluated node by node.  The result is
 bit for bit that of evaluating the integrand one node at a time.  A loop
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParameters, DimensionMismatch
-from .maps import SmoothMap, fd_partial, fd_step
+from .maps import SmoothMap, fd_jacobian
 
 CLOSED_TOL = 1e-12
 FLOOR = 1e-13
@@ -34,13 +34,14 @@ MAX_SEGMENTS = 2**18
 class Path:
     """Differentiable parameterization gamma: [0, t1] -> R^k.
 
-    ``derivative`` is used when supplied; otherwise the velocity comes from
-    central differences (``maps.fd_partial``).  ``segments`` is the default
-    Simpson subdivision count, from 1 to ``MAX_SEGMENTS``.  A path flagged
-    closed must satisfy |gamma(0) - gamma(t1)| <= 1e-12.  ``broadcasts``
-    declares that ``gamma`` and ``derivative`` also take a 1-D array of
-    parameters and return one row per parameter, bit for bit what they return
-    one parameter at a time.
+    ``point`` and ``velocity`` take one parameter or a 1-D array of them, one
+    row each.  ``derivative`` is used when supplied; otherwise the velocity
+    comes from central differences (``maps.fd_jacobian``).  ``segments`` is
+    the default Simpson subdivision count, from 1 to ``MAX_SEGMENTS``.  A path
+    flagged closed must satisfy |gamma(0) - gamma(t1)| <= 1e-12.
+    ``broadcasts`` declares that ``gamma`` and ``derivative`` also take a 1-D
+    array of parameters, bit for bit what they return one at a time; without
+    it they get one ``np.float64`` per call.
     """
 
     def __init__(self, gamma, t1, derivative=None, segments=256, closed=False,
@@ -52,34 +53,29 @@ class Path:
         self.closed = bool(closed)
         self.broadcasts = bool(broadcasts)
         if closed:
-            # a gap past the largest float is inf, which fails the check below
+            # an inf gap (past the largest float) and a nan gap both fail the check
             with np.errstate(over="ignore"):
                 gap = float(np.linalg.norm(self.point(0.0) - self.point(self.t1)))
-            if gap > CLOSED_TOL:
+            if not gap <= CLOSED_TOL:
                 raise ValueError(f"path marked closed but endpoint gap is {gap:.3e}")
 
     def point(self, t):
-        return np.asarray(self.gamma(t), dtype=float)
+        return self._at(self.gamma, t)
 
     def velocity(self, t):
         if self.derivative is not None:
-            return np.asarray(self.derivative(t), dtype=float)
-        t = np.array([t], dtype=float)
-        return fd_partial(lambda s: self.point(s[0]), t, (1,), fd_step(t))
+            return self._at(self.derivative, t)
+        t = np.asarray(t, dtype=float)
+        return fd_jacobian(lambda s: self.point(s[..., 0]), t[..., None])[..., 0]
 
-    def points(self, ts):
-        """gamma at every parameter of a 1-D array, shape (len(ts), k)."""
-        ts = np.asarray(ts, dtype=float)
+    def _at(self, func, t):
+        """func at one parameter, or one row per parameter of a 1-D array."""
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            return np.asarray(func(t[()]), dtype=float)
         if self.broadcasts:
-            return np.asarray(self.gamma(ts), dtype=float)
-        return np.stack([self.point(t) for t in ts])
-
-    def velocities(self, ts):
-        """gamma' at every parameter of a 1-D array, shape (len(ts), k)."""
-        ts = np.asarray(ts, dtype=float)
-        if self.broadcasts and self.derivative is not None:
-            return np.asarray(self.derivative(ts), dtype=float)
-        return np.stack([self.velocity(t) for t in ts])
+            return np.asarray(func(t), dtype=float)
+        return np.stack([np.asarray(func(s), dtype=float) for s in t])
 
     @classmethod
     def segment(cls, u0, u1, segments=256):
@@ -118,10 +114,9 @@ def _segment_count(segments):
 
 def pushforward(phi, path, ts):
     """The path's points at the parameters ts and dphi_gamma(t)(gamma'(t)) at each."""
-    points = path.points(ts)
-    jphis = phi.batch_jacobian(points)
+    points = path.point(ts)
     # stacked matrix-vector products: the same bits per node as jphi @ velocity
-    return points, (jphis @ path.velocities(ts)[..., None])[..., 0]
+    return points, (phi.jacobian(points) @ path.velocity(ts)[..., None])[..., 0]
 
 
 def _simpson_count(segments):
@@ -133,7 +128,7 @@ def _simpson_count(segments):
 def _node_values(f, phi, algebra, path, ts):
     """The integrand f(gamma) * dphi(gamma') at the parameters ts, in one pass."""
     points, dphi = pushforward(phi, path, ts)
-    return algebra.product(f.batch(points), dphi)
+    return algebra.product(f(points), dphi)
 
 
 def _simpson(values, t1, n):
@@ -276,6 +271,6 @@ def antiderivative(f, phi, algebra, u0, segments=256, name=""):
         return line_integral(f, phi, algebra, Path.segment(u0, u, segments=segments))
 
     def jac(u):
-        return algebra.rep(f(np.asarray(u, dtype=float))) @ phi.jacobian(np.asarray(u, dtype=float))
+        return algebra.rep(f(u)) @ phi.jacobian(u)
 
     return SmoothMap(phi.k, algebra.dim, func, jac=jac, name=name or "antiderivative")

@@ -7,13 +7,14 @@ one point or an (m, k) stack of points with one step per point; a stack costs
 one call of the differenced function per stencil offset, and every point gets
 the bits of its own single-point difference.
 
-``SmoothMap.batch`` and ``SmoothMap.batch_jacobian`` evaluate a whole stack of
-points, as the quadrature nodes of a line integral, in one pass.  A map built
-with ``broadcasts=True`` does this natively: ``linear``, ``identity``,
-``constant``, ``compose`` of two such maps, ``calculus.phi_polynomial`` and
-``calculus.phi_rational`` over such a phi, and the catalog's nonlinear map.
-Every other map, and every plain callable, is evaluated one point at a time by
-``each``, the package's one per-point loop.  Both ways give the same bits.
+A ``SmoothMap`` and its Jacobian take one point, shape (k,), or a stack of
+points, shape (..., k), as the quadrature nodes of a line integral.  A map
+built with ``broadcasts=True`` takes a whole stack in one call: ``linear``,
+``identity``, ``constant``, ``compose`` of two such maps,
+``calculus.phi_polynomial`` and ``calculus.phi_rational`` over such a phi,
+and the catalog's nonlinear map.  Every other map, and every plain callable,
+is evaluated one point at a time by ``each``, the package's one per-point
+loop.  Both ways give each point the bits of its single-point call.
 
 Batching keeps bits only where the arithmetic is elementwise and the same for
 a stack as for one point.  Two operations are not: the norm of a single
@@ -100,9 +101,9 @@ def fd_jacobian(func, u, base=FD_STEP):
     """Central-difference Jacobian, one ``fd_partial`` column per variable, with
     step scaled by the point's norm.
 
-    ``u`` is one point, giving the (n, k) Jacobian, or an (m, k) stack of
-    points, giving (m, n, k) from one call of ``func`` per stencil offset; each
-    point keeps its own step.
+    ``u`` is one point, giving the (n, k) Jacobian, or an (..., k) stack of
+    points, giving (..., n, k) from one call of ``func`` per stencil offset;
+    each point keeps its own step.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
@@ -110,20 +111,20 @@ def fd_jacobian(func, u, base=FD_STEP):
         return np.column_stack([fd_partial(func, u, orders, h)
                                 for orders in np.eye(u.shape[0], dtype=int)])
     # the norm of a single vector goes through dot, so the step stays per point
-    h = np.array([fd_step(p, base) for p in u])
+    h = np.array([fd_step(p, base) for p in u.reshape(-1, u.shape[-1])]).reshape(u.shape[:-1])
     return np.stack([fd_partial(func, u, orders, h)
                      for orders in np.eye(u.shape[-1], dtype=int)], axis=-1)
 
 
 class SmoothMap:
-    """A map R^k -> R^n exposed as point evaluation plus Jacobian evaluation.
+    """A map R^k -> R^n exposed as evaluation plus Jacobian evaluation.
 
-    The Jacobian is analytic when a callable is supplied and central finite
-    differences otherwise.  Instances are stateless wrappers around pure
-    functions; evaluation must be reentrant.  ``broadcasts`` declares that
-    ``func`` and ``jac`` also take an (..., k) stack of points and return
-    (..., n) values and (..., n, k) Jacobians, bit for bit what they return
-    point by point.
+    Both take one point, shape (k,), or a stack of points, shape (..., k), and
+    give (n,) and (n, k) per point.  The Jacobian is analytic when a callable
+    is supplied and central finite differences otherwise.  Instances are
+    stateless wrappers around pure functions; evaluation must be reentrant.
+    ``broadcasts`` declares that ``func`` and ``jac`` also take a stack, bit
+    for bit what they return point by point; without it ``each`` loops.
     """
 
     def __init__(self, k, n, func, jac=None, name="", broadcasts=False):
@@ -135,49 +136,31 @@ class SmoothMap:
         self.broadcasts = bool(broadcasts)
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.k,):
-            raise DimensionMismatch(f"{self.name or 'map'} expects R^{self.k} points, got {u.shape}")
+        u = self._points(u)
+        if u.ndim > 1 and not self.broadcasts:
+            return each(self.__call__, u)
         out = np.asarray(self._func(u), dtype=float)
-        if out.shape != (self.n,):
-            raise DimensionMismatch(f"{self.name or 'map'} returned shape {out.shape}, wanted ({self.n},)")
+        if out.shape != u.shape[:-1] + (self.n,):
+            raise DimensionMismatch(f"{self.name or 'map'} returned shape {out.shape} "
+                                    f"for points of shape {u.shape}")
         return out
 
     def jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        if self._jac is not None:
-            jac = np.asarray(self._jac(u), dtype=float)
-            if jac.shape != (self.n, self.k):
-                raise DimensionMismatch(f"Jacobian shape {jac.shape}, wanted ({self.n}, {self.k})")
-            return jac
-        return fd_jacobian(self.__call__, u)
-
-    def _stack(self, us):
-        us = np.asarray(us, dtype=float)
-        if us.ndim == 0 or us.shape[-1] != self.k:
-            raise DimensionMismatch(f"{self.name or 'map'} expects R^{self.k} points, got {us.shape}")
-        return us
-
-    def batch(self, us):
-        """Values at every point of an (..., k) array, shape (..., n)."""
-        us = self._stack(us)
-        if not self.broadcasts:
-            return each(self.__call__, us)
-        out = np.asarray(self._func(us), dtype=float)
-        if out.shape != us.shape[:-1] + (self.n,):
-            raise DimensionMismatch(f"{self.name or 'map'} returned shape {out.shape} "
-                                    f"for points of shape {us.shape}")
-        return out
-
-    def batch_jacobian(self, us):
-        """Jacobians at every point of an (..., k) array, shape (..., n, k)."""
-        us = self._stack(us)
-        if not (self.broadcasts and self._jac is not None):
-            return each(self.jacobian, us)
-        jac = np.asarray(self._jac(us), dtype=float)
-        if jac.shape != us.shape[:-1] + (self.n, self.k):
-            raise DimensionMismatch(f"Jacobian shape {jac.shape} for points of shape {us.shape}")
+        u = self._points(u)
+        if self._jac is None:
+            return fd_jacobian(self.__call__, u)
+        if u.ndim > 1 and not self.broadcasts:
+            return each(self.jacobian, u)
+        jac = np.asarray(self._jac(u), dtype=float)
+        if jac.shape != u.shape[:-1] + (self.n, self.k):
+            raise DimensionMismatch(f"Jacobian shape {jac.shape} for points of shape {u.shape}")
         return jac
+
+    def _points(self, u):
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0 or u.shape[-1] != self.k:
+            raise DimensionMismatch(f"{self.name or 'map'} expects R^{self.k} points, got {u.shape}")
+        return u
 
     @classmethod
     def linear(cls, matrix, name=""):
@@ -212,21 +195,20 @@ def compose(outer, inner, name=""):
         raise DimensionMismatch(f"cannot compose R^{inner.k}->R^{inner.n} into R^{outer.k}->R^{outer.n}")
 
     def func(u):
-        return outer.batch(inner.batch(u))
+        return outer(inner(u))
 
     def jac(u):
-        return outer.batch_jacobian(inner.batch(u)) @ inner.batch_jacobian(u)
+        return outer.jacobian(inner(u)) @ inner.jacobian(u)
 
     return SmoothMap(inner.k, outer.n, func, jac=jac, name=name or f"{outer.name}∘{inner.name}",
                      broadcasts=outer.broadcasts and inner.broadcasts)
 
 
-def jacobian_consistency(smooth_map, points, rtol=1e-4):
-    """Worst relative disagreement between the analytic Jacobian and an FD check."""
-    errors = []
-    for u in points:
-        analytic = smooth_map.jacobian(np.asarray(u, dtype=float))
-        numeric = fd_jacobian(smooth_map, np.asarray(u, dtype=float))
-        scale = max(1.0, float(np.abs(analytic).max()))
-        errors.append(float(np.abs(analytic - numeric).max()) / scale)
-    return worst_of(errors)
+def jacobian_consistency(smooth_map, points):
+    """Worst relative disagreement between the analytic Jacobian and an FD check
+    over the points, from one stacked call of each."""
+    points = np.asarray(points, dtype=float)
+    analytic = smooth_map.jacobian(points)
+    numeric = fd_jacobian(smooth_map, points)
+    scale = np.maximum(1.0, np.abs(analytic).max(axis=(-2, -1)))
+    return worst_of(np.abs(analytic - numeric).max(axis=(-2, -1)) / scale)

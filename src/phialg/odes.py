@@ -28,29 +28,19 @@ class SolutionSamples:
     max_residual: float
 
 
-def solution_residual(w, rhs, phi, algebra, grid, step=RESIDUAL_STEP, broadcasts=False):
+def solution_residual(w, rhs, phi, algebra, grid, step=RESIDUAL_STEP):
     """max over the grid of |dw - rep(F(tau, w)) dphi| / (1 + |dphi|); nan if any is nan.
 
-    With ``broadcasts``, ``w`` takes an (m, k) stack of parameter values and
-    ``rhs`` a stack of (tau, w) pairs, so the whole grid is differenced with
-    one call of ``w`` per stencil offset (``maps.fd_jacobian``).  Otherwise
-    both take one point, and ``each`` calls them point by point.  Either way
-    every point gets the bits of its own per-point computation.
+    ``w`` takes an (m, k) stack of parameter values and ``rhs`` a stack of
+    (tau, w) pairs, so the whole grid is differenced with one call of ``w``
+    per stencil offset (``maps.fd_jacobian``); every point gets the bits of
+    its own per-point computation.
     """
     taus = np.array(grid, dtype=float)
-    if not broadcasts:
-        w_at, rhs_at = w, rhs
-
-        def w(ts):
-            return each(w_at, ts)
-
-        def rhs(ts, ws):
-            return np.stack([rhs_at(t, wt) for t, wt in zip(ts, ws)])
-
     with np.errstate(all="ignore"):  # an overflow shows as a nan or inf residual
         values = np.asarray(w(taus))
         dw = fd_jacobian(w, taus, base=step)
-        jphi = phi.batch_jacobian(taus)
+        jphi = phi.jacobian(taus)
         target = algebra.rep(rhs(taus, values)) @ jphi
         residuals = [float(np.linalg.norm(d - t)) / (1.0 + float(np.linalg.norm(j)))
                      for d, t, j in zip(dw, target, jphi)]
@@ -75,8 +65,7 @@ class OdeSolution:
         return self.w(np.asarray(tau, dtype=float))
 
     def samples(self, grid, step=RESIDUAL_STEP):
-        return solution_residual(self.w, self.rhs, self.phi, self.algebra, grid, step=step,
-                                 broadcasts=True)
+        return solution_residual(self.w, self.rhs, self.phi, self.algebra, grid, step=step)
 
 
 def solve_square_rhs(K, H, C, phi, algebra):
@@ -89,10 +78,10 @@ def solve_square_rhs(K, H, C, phi, algebra):
     C = algebra.element(C)
 
     def w(tau):
-        return -algebra.inverse(H.batch(tau) + C)
+        return -algebra.inverse(H(tau) + C)
 
     def rhs(tau, wt):
-        return algebra.product(K.batch(tau), algebra.product(wt, wt))
+        return algebra.product(K(tau), algebra.product(wt, wt))
 
     return OdeSolution(w=w, rhs=rhs, phi=phi, algebra=algebra)
 
@@ -102,11 +91,11 @@ def solve_phi_rhs(K, C, algebra):
     C = algebra.element(C)
 
     def w(tau):
-        k = K.batch(tau)
+        k = K(tau)
         return algebra.product(k, k) / 2.0 + C
 
     def rhs(tau, wt):
-        return K.batch(tau)
+        return K(tau)
 
     return OdeSolution(w=w, rhs=rhs, phi=K, algebra=algebra)
 
@@ -116,7 +105,7 @@ def solve_exponential(phi, algebra, C):
     C = algebra.element(C)
 
     def w(tau):
-        return algebra.product(C, each(algebra.exp, phi.batch(tau)))
+        return algebra.product(C, each(algebra.exp, phi(tau)))
 
     def rhs(tau, wt):
         return wt
@@ -190,13 +179,15 @@ class SeparableSolution:
     def samples(self, grid, step=RESIDUAL_STEP):
         warm = {}
 
-        def w(tau):
-            key = tuple(np.round(np.asarray(tau, dtype=float), 12))
+        def solve(tau):
+            key = tuple(np.round(tau, 12))
             if key not in warm:
                 warm[key] = self.solve_at(tau)
             return warm[key]
 
-        return solution_residual(w, self.rhs, self.phi, self.algebra, grid, step=step)
+        return solution_residual(lambda taus: each(solve, taus),
+                                 lambda taus, ws: np.stack([self.rhs(t, w) for t, w in zip(taus, ws)]),
+                                 self.phi, self.algebra, grid, step=step)
 
 
 def separable_solve(K, L, phi, algebra, w0, tau0, segments=256, max_iter=50):
@@ -239,9 +230,9 @@ def picard(F, phi, algebra, w0, path, tol=1e-10, max_iter=60):
     F must be differentiable with respect to the algebra on a region the
     iterates stay inside (caller-asserted), and the path short enough for
     contraction.  Raises NoConvergence with the recorded history when the
-    iteration cap is hit.  A ``SmoothMap`` F is evaluated at all the nodes by
-    ``F.batch``, one call per iteration when it broadcasts; a plain callable
-    is called once per node through ``each``.  Both give the same bits.  The
+    iteration cap is hit.  A ``SmoothMap`` F is called on the stack of all the
+    nodes, one call per iteration when it broadcasts; a plain callable is
+    called once per node through ``each``.  Both give the same bits.  The
     products with dphi take one batched call per iteration.
     """
     w0 = algebra.element(w0)
@@ -253,7 +244,7 @@ def picard(F, phi, algebra, w0, path, tol=1e-10, max_iter=60):
     h = path.t1 / nodes
 
     current = np.tile(w0, (len(ts), 1)).astype(np.result_type(w0, dphi))
-    evaluate = F.batch if isinstance(F, SmoothMap) else (lambda ws: each(F, ws))
+    evaluate = F if isinstance(F, SmoothMap) else (lambda ws: each(F, ws))
     history = []
     for iteration in range(1, max_iter + 1):
         integrand = algebra.product(evaluate(current), dphi)

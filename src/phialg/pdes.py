@@ -56,8 +56,8 @@ def pde_residual(terms, fields, points, h=None):
     the largest term magnitude so the number is scale free; a non-finite point
     residual makes the result non-finite.  ``fields`` is evaluated once per
     distinct stencil stack, however many terms and components read it: in one
-    ``batch`` call for all points when it is a broadcasting ``SmoothMap``, and
-    once per point otherwise.  The result is bit for bit that of differencing
+    call on the stack of all points when it is a broadcasting ``SmoothMap``,
+    and once per point otherwise.  The result is bit for bit that of differencing
     point by point and calling ``fields`` afresh for every term.
     """
     return _equation_residuals([terms], fields, points, h)[0]
@@ -70,13 +70,13 @@ def _equation_residuals(equations, fields, points, h=None):
     The points are differenced together as one (m, k) stack, through
     ``maps.fd_partial``.  The values of ``fields`` are kept by the exact bytes
     of each shifted stack it asks for, so the equations, terms and components
-    share them.  A broadcasting ``SmoothMap`` takes each stack in one ``batch``
-    call; any other ``fields`` is called once per point of the stack.
+    share them.  A broadcasting ``SmoothMap`` takes each stack in one call;
+    any other ``fields`` is called once per point of the stack.
     """
     if not len(points):
         return [0.0 for _ in equations]
     stack = np.array(points, dtype=float)
-    evaluate = fields.batch if isinstance(fields, SmoothMap) else (lambda s: each(fields, s))
+    evaluate = fields if isinstance(fields, SmoothMap) else (lambda s: each(fields, s))
     memo = {}
 
     def values(shifted):

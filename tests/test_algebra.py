@@ -312,6 +312,28 @@ def test_inverse_margin_covers_both_sides_of_the_rule():
             assert _outcome(Algebra.inverse, alg, a) == _outcome(svd_rule_inverse, alg, a)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_is_regular_follows_the_rule_of_inverse_without_a_warning(data):
+    alg = data.draw(st.sampled_from(INVERSE_ALGEBRAS))
+    a = _element(alg, data.draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        regular = alg.is_regular(a)
+    assert regular == (_outcome(svd_rule_inverse, alg, a)[0][0] == "value")
+
+
+def test_is_regular_is_false_for_non_finite_and_overflowing_elements():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not complex_algebra().is_regular(np.array([np.nan, 0.0]))
+        assert not complex_algebra().is_regular(np.array([np.inf, 1.0]))
+        assert not algebra_a2_1(10.0, 0.0).is_regular(np.array([0.0, 1e308]))
+    alg = algebra_a2_12()  # the boundary smin = SINGULAR_RTOL * smax is regular, as for inverse
+    assert alg.is_regular(np.array([1.0, SINGULAR_RTOL]))
+    npt.assert_allclose(alg.inverse(np.array([1.0, SINGULAR_RTOL])), [1.0, 1.0 / SINGULAR_RTOL])
+
+
 def test_power_and_exp():
     alg = algebra_a2_12()
     a = np.array([0.4, -1.1])

@@ -23,7 +23,7 @@ from phialg.calculus import (UNIQUE_RTOL, _poly_eval, phi_derivative, phi_polyno
 from phialg.catalog import PHI_BUILDERS
 from phialg.errors import DegenerateParameters, SingularElement
 from phialg.integrals import Path, closed_loop_check, line_integral
-from phialg.maps import SmoothMap, compose, fd_jacobian, fd_partial, fd_step, worst_of
+from phialg.maps import SmoothMap, compose, each, fd_jacobian, fd_partial, fd_step, worst_of
 from phialg.odes import (_cumulative_integral, picard, separable_solve, solution_residual,
                          solve_exponential, solve_phi_rhs, solve_square_rhs)
 from phialg.pdes import (FIRST_ORDER_STEP, SECOND_ORDER_STEP, FirstOrderPDE, HeatProblem,
@@ -170,13 +170,13 @@ def reference_rational(num, den, phi, algebra):
     dnum, dden = poly_derivative_coeffs(num), poly_derivative_coeffs(den)
 
     def value_and_jacobian(u):
-        w = phi.batch(u)
+        w = phi(u)
         p, q = _poly_eval(num, algebra, w), _poly_eval(den, algebra, w)
         qinv = algebra.inverse(q)
         dp, dq = _poly_eval(dnum, algebra, w), _poly_eval(dden, algebra, w)
         deriv = algebra.product(algebra.product(dp, q) - algebra.product(p, dq),
                                 algebra.product(qinv, qinv))
-        return algebra.product(p, qinv), algebra.rep(deriv) @ phi.batch_jacobian(u)
+        return algebra.product(p, qinv), algebra.rep(deriv) @ phi.jacobian(u)
 
     return value_and_jacobian
 
@@ -193,8 +193,8 @@ def test_rational_value_and_jacobian_match_the_shared_evaluation(families):
         stack = np.stack([fam.sample(rng) for _ in range(6)]).reshape(2, 3, -1)
         for u in (stack[0, 0], stack):
             value, jac = ref(u)
-            assert np.array_equal(f.batch(u), value), fam.name
-            assert np.array_equal(f.batch_jacobian(u), jac), fam.name
+            assert np.array_equal(f(u), value), fam.name
+            assert np.array_equal(f.jacobian(u), jac), fam.name
         assert np.array_equal(f(stack[1, 2]), ref(stack[1, 2])[0]), fam.name
         assert np.array_equal(f.jacobian(stack[1, 2]), ref(stack[1, 2])[1]), fam.name
         count += 1
@@ -236,12 +236,54 @@ def test_batch_evaluation_matches_points(families):
     maps += [SmoothMap.constant([0.5, -1.0], k=2), compose(maps[0], maps[2])]
     for m in maps:
         points = rng.uniform(0.5, 1.5, size=(2, 5, m.k))
-        values = m.batch(points)
-        jacobians = m.batch_jacobian(points)
+        values = m(points)
+        jacobians = m.jacobian(points)
         assert values.shape == (2, 5, m.n) and jacobians.shape == (2, 5, m.n, m.k)
         for idx in np.ndindex(2, 5):
             assert np.array_equal(values[idx], m(points[idx])), m.name
             assert np.array_equal(jacobians[idx], m.jacobian(points[idx])), m.name
+
+
+def test_a_non_broadcasting_map_takes_a_stack_point_by_point():
+    calls = []
+
+    def square(u):  # takes one point only
+        calls.append(u.shape)
+        x, y = u
+        return np.array([x * x - y * y, 2.0 * x * y])
+
+    def jac(u):
+        x, y = u
+        return np.array([[2.0 * x, -2.0 * y], [2.0 * y, 2.0 * x]])
+
+    points = np.random.default_rng(13).uniform(-2.0, 2.0, size=(6, 2))
+    for m in (SmoothMap(2, 2, square, jac=jac), SmoothMap(2, 2, square)):
+        assert not m.broadcasts
+        assert np.array_equal(m(points), each(m, points))
+        assert np.array_equal(m.jacobian(points), each(m.jacobian, points))
+        assert np.array_equal(m.jacobian(points[1:2]), m.jacobian(points[1])[None])
+    assert set(calls) == {(2,)}
+
+
+def test_user_paths_take_parameter_arrays_one_scalar_at_a_time():
+    seen = []
+
+    def gamma(t):
+        seen.append(type(t))
+        return np.array([1.5 + 0.3 * np.cos(t), 0.2 + 0.3 * np.sin(t), t * t])
+
+    def derivative(t):
+        seen.append(type(t))
+        return np.array([-0.3 * np.sin(t), 0.3 * np.cos(t), 2.0 * t])
+
+    ts = np.linspace(0.0, 2.0, 9)
+    for path in (Path(gamma, 2.0), Path(gamma, 2.0, derivative=derivative)):
+        assert not path.broadcasts
+        points, velocities = path.point(ts), path.velocity(ts)
+        assert points.shape == velocities.shape == (9, 3)
+        assert np.array_equal(points, np.stack([path.point(t) for t in ts]))
+        assert np.array_equal(velocities, np.stack([path.velocity(t) for t in ts]))
+    assert set(seen) == {np.float64}
 
 
 def test_algebra_stacks_match_elements(families):
@@ -443,7 +485,9 @@ def test_a_per_point_solution_goes_through_each_with_the_same_bits(families):
         return alg.product(wt, wt)
 
     grid = [fam.sample(np.random.default_rng(6)) for _ in range(5)]
-    samples = solution_residual(w, rhs, phi, alg, grid)
+    samples = solution_residual(lambda taus: each(w, taus),
+                                lambda taus, ws: np.stack([rhs(t, wt) for t, wt in zip(taus, ws)]),
+                                phi, alg, grid)
     want_values, want = reference_solution_residual(w, rhs, phi, alg, grid)
     assert float.hex(samples.max_residual) == float.hex(want)
     assert np.array_equal(samples.values, want_values)
@@ -600,13 +644,13 @@ def test_stacked_phi_derivative_evaluates_each_jacobian_and_rep_once(monkeypatch
     phi = SmoothMap.linear([[1.0, 0.5], [-0.3, 1.2]])
     f = SmoothMap.linear([[2.0, 0.1], [0.3, -1.0]])  # linear maps make no nested calls
     calls = []
-    for owner, name in ((SmoothMap, "batch_jacobian"), (SmoothMap, "jacobian"), (type(alg), "rep")):
+    for owner, name in ((SmoothMap, "jacobian"), (type(alg), "rep")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda self, x, real=real, name=name:
                             calls.append(name) or real(self, x))
     report = phi_derivative(f, phi, alg, np.random.default_rng(3).standard_normal((9, 2)))
     assert report.derivative.shape == (9, 2)
-    assert sorted(calls) == ["batch_jacobian", "batch_jacobian", "rep"]
+    assert sorted(calls) == ["jacobian", "jacobian", "rep"]
 
 
 def test_derivative_checks_make_one_stacked_call_per_family(families, monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -95,6 +97,14 @@ def test_find_regular_direction(rng):
     degenerate = algebra_a3_1((0.0,) * 6)
     phi = SmoothMap.linear([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert find_regular_direction(phi, degenerate, np.zeros(2), rng=rng) is None
+
+
+def test_find_regular_direction_on_a_non_finite_jacobian_is_none_without_a_warning():
+    for bad in (np.nan, np.inf):
+        phi = SmoothMap.linear(np.full((2, 2), bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_regular_direction(phi, complex_algebra(), np.zeros(2), tries=4) is None
 
 
 def test_phi_polynomial_matches_component_formula(rng):

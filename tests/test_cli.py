@@ -494,3 +494,36 @@ def test_files_that_cannot_be_opened_are_input_errors(tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: ") and "No such file" in err, argv
+
+
+_SYSTEM = {"A": [[1, 0, 0, 0], [0, 0, 1, 0]]}
+_MALFORMED_SYSTEMS = [
+    {"A": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]]},  # a third row
+    {"A": [[1, 0, 0, 0, 5], [0, 0, 1, 0]]},  # a fifth column
+    {**_SYSTEM, "F": [0, 0, 0]},  # a third right-hand side
+    {"A": [[[1, 2], 0, 0, 0], [0, 0, 1, 0]]},  # a list entry
+    {"A": [[None, 0, 0, 0], [0, 0, 1, 0]]},  # a null entry
+    {"A": 5},
+    [[1, 0, 0, 0], [0, 0, 1, 0]],  # a top-level list
+]
+_MALFORMED_ALGEBRAS = [
+    [[1.0, 0.0], [0.0, 1.0]],  # a top-level list
+    {"scalars": "complex", "constants": [[[1.0]]], "unit": [1.0]},  # no [re, im] pairs
+    {"scalars": "real", "constants": {"e1": [1.0]}, "unit": [1.0]},  # constants as an object
+]
+
+
+@pytest.mark.parametrize("argv,payload", [
+    *((["cre", "recover", "--file", "{bad}"], s) for s in _MALFORMED_SYSTEMS),
+    *((["cre", "equiv", "--s1", "{bad}", "--s2", "{good}"], s) for s in _MALFORMED_SYSTEMS),
+    *((["algebra", "verify", "--file", "{bad}"], a) for a in _MALFORMED_ALGEBRAS),
+    *((["cre", "emit", "--algebra", "{bad}", "--phi", "swap"], a) for a in _MALFORMED_ALGEBRAS),
+])
+def test_malformed_input_files_are_input_errors(tmp_path, capsys, argv, payload):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(payload))
+    good.write_text(json.dumps(_SYSTEM))
+    argv = [arg.format(bad=bad, good=good) for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_one_error_line(*run_cli(capsys, "--json", *argv))

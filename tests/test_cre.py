@@ -362,6 +362,12 @@ def test_two_pde_system_rejects_non_finite_input_naming_it(bad):
         TwoPDESystem(np.eye(2, 4), rhs=rhs)
 
 
+def test_two_pde_system_rejects_a_right_hand_side_of_the_wrong_shape():
+    for rhs in ([1.0, 2.0], np.zeros((3, 3)), np.zeros((2, 4))):
+        with pytest.raises(DimensionMismatch, match="right-hand side must be"):
+            TwoPDESystem(np.eye(2, 4), rhs=rhs)
+
+
 def _emitted(algebra, pots):
     """(2, 4, 3) coefficients of emit_cre(algebra, quadratic_map(pots)), read at three points."""
     system = emit_cre(algebra, quadratic_map(pots))

@@ -75,6 +75,8 @@ def test_closed_loop_requires_closed_path():
         closed_loop_check(f, SmoothMap.identity(2), c, Path.segment([0, 0], [1, 0]))
     with pytest.raises(ValueError):
         Path(lambda t: np.array([t, 0.0]), 1.0, closed=True)
+    with pytest.raises(ValueError, match="gap is nan"):  # a nan gap is no closed loop
+        Path(lambda t: np.array([np.nan, 0.0]), 1.0, closed=True)
 
 
 def test_path_independence(rng):

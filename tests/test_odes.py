@@ -6,7 +6,7 @@ from phialg.algebra import algebra_a2_1, algebra_a2_12, complex_algebra
 from phialg.calculus import phi_polynomial
 from phialg.errors import NoConvergence
 from phialg.integrals import Path, line_integral
-from phialg.maps import SmoothMap
+from phialg.maps import SmoothMap, each
 from phialg.odes import (
     picard,
     separable_solve,
@@ -138,7 +138,8 @@ def test_solution_residual_is_non_finite_when_a_point_is():
         return np.full(2, np.nan) if tau[0] > 0 else c.unit
 
     grid = [np.array([-0.5, 0.1]), np.array([0.5, 0.1]), np.array([-0.2, 0.3])]
-    samples = solution_residual(w, lambda tau, wt: c.zero(), SmoothMap.identity(2), c, grid)
+    samples = solution_residual(lambda taus: each(w, taus), lambda taus, ws: np.zeros_like(ws),
+                                SmoothMap.identity(2), c, grid)
     assert np.isnan(samples.max_residual)
 
 

@@ -179,7 +179,7 @@ def test_broadcasting_fields_take_one_batch_call_per_stencil_offset(count):
     fn = phi_polynomial([alg.zero(), alg.zero(), alg.unit], first_order_phi(pde, 0.3, -0.2), alg)
     pts = _points(np.random.default_rng(count), count=count)
     calls = []
-    pde.residual(_counting_map(fn.batch, calls, broadcasts=True), pts)
+    pde.residual(_counting_map(fn, calls, broadcasts=True), pts)
     assert [c.shape for c in calls] == [(count, 2)] * 4  # pt +- h e_x, pt +- h e_y
 
     calls = []
