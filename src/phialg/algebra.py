@@ -225,10 +225,12 @@ class Algebra:
         return out
 
     def exp(self, a):
-        """Algebra exponential via the representation matrix.
+        """Algebra exponential via the representation matrix, of one element or a stack.
 
         rep is an injective homomorphism, so expm(rep(a)) = rep(exp a) and the
         coefficients of exp(a) are recovered exactly by applying it to the unit.
+        A stack of elements takes one ``expm`` call on the stacked reps; scipy
+        loops over the slices, so each element keeps the bits it has alone.
         scipy is imported here, on the first call, rather than with the
         package: it is most of the cost of ``import phialg`` and nothing else
         uses it.

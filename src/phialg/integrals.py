@@ -11,7 +11,8 @@ parameters, then ``f`` and ``phi.jacobian`` on the stack of points (see
 ``Path.segment`` and ``Path.circle`` give their nodes as array expressions;
 a path built from a user ``gamma`` is evaluated node by node.  The result is
 bit for bit that of evaluating the integrand one node at a time.  A loop
-ladder evaluates each node its nested levels share once.
+ladder evaluates one pass per chain of levels whose counts differ by powers
+of two, and takes the coarser levels as slices of the finest.
 """
 
 from __future__ import annotations
@@ -153,37 +154,30 @@ def line_integral(f, phi, algebra, path, segments=None):
 
 
 def _ladder_values(f, phi, algebra, path, ladder):
-    """The integrand at the Simpson nodes of each ladder level, each distinct node once.
+    """The integrand at the Simpson nodes of each ladder level, one pass per chain.
 
     linspace(0, t1, n + 1) is every r-th node of linspace(0, t1, r n + 1),
-    bit for bit, when r is a power of two.  A level so related to one already
-    evaluated takes the shared nodes from it and evaluates only the others;
-    any other level is evaluated whole.  Levels are filled in ladder order,
-    so a failing node raises at the first level that has it, with the error
-    of that level evaluated on its own.
+    bit for bit, when r is a power of two.  Levels whose counts differ by
+    powers of two form a chain (they share the odd part of the count); only
+    the finest level of each chain is evaluated, all of them in one pass,
+    and the coarser levels are its slices.  If that pass raises, the levels
+    are evaluated one by one in ladder order, so a failing node raises at the
+    first level that has it, with the error of that level on its own.
     """
     _segment_count(max(ladder, default=1))  # the finest level is checked before any is evaluated
-    done = {}
-    for segments in ladder:
-        n = _simpson_count(segments)
-        finer = [m for m in done if m % n == 0 and _power_of_two(m // n)]
-        coarser = [m for m in done if n % m == 0 and _power_of_two(n // m)]
-        ts = np.linspace(0.0, path.t1, n + 1)
-        if finer:
-            done[n] = done[finer[0]][::finer[0] // n]
-        elif coarser:
-            m = max(coarser)
-            fresh = np.arange(n + 1) % (n // m) != 0
-            new = _node_values(f, phi, algebra, path, ts[fresh])
-            done[n] = np.empty((n + 1, *new.shape[1:]), dtype=np.result_type(new, done[m]))
-            done[n][~fresh], done[n][fresh] = done[m], new
-        else:
-            done[n] = _node_values(f, phi, algebra, path, ts)
-        yield n, done[n]
-
-
-def _power_of_two(r):
-    return r & (r - 1) == 0
+    counts = [_simpson_count(segments) for segments in ladder]
+    chain = [n // (n & -n) for n in counts]  # the odd part names a level's chain
+    finest = {}
+    for n, odd in zip(counts, chain):
+        finest[odd] = max(n, finest.get(odd, 0))
+    grids = [np.linspace(0.0, path.t1, m + 1) for m in finest.values()]
+    try:
+        values = _node_values(f, phi, algebra, path, np.concatenate(grids))
+    except Exception:
+        return [_node_values(f, phi, algebra, path, np.linspace(0.0, path.t1, n + 1))
+                for n in counts]
+    passes = dict(zip(finest, np.split(values, np.cumsum([len(g) for g in grids])[:-1])))
+    return [passes[odd][::finest[odd] // n] for n, odd in zip(counts, chain)]
 
 
 @dataclass
@@ -217,8 +211,8 @@ def closed_loop_check(f, phi, algebra, path, ladder=(64, 128, 256, 512), floor=F
     if not path.closed:
         raise ValueError("closed_loop_check needs a closed path")
     _check_dims(f, phi, algebra)
-    mags = [float(np.linalg.norm(_simpson(values, path.t1, n)))
-            for n, values in _ladder_values(f, phi, algebra, path, ladder)]
+    mags = [float(np.linalg.norm(_simpson(values, path.t1, len(values) - 1)))
+            for values in _ladder_values(f, phi, algebra, path, ladder)]
     scale = max(1.0, *mags)
     orders = []
     for a, b in zip(mags, mags[1:]):

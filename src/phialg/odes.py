@@ -10,6 +10,7 @@ iteration covers the autonomous existence theorem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +102,11 @@ def solve_phi_rhs(K, C, algebra):
 
 
 def solve_exponential(phi, algebra, C):
-    """Solution w = C exp(phi(tau)) of w'_phi = w; the exponential is taken per element."""
+    """Solution w = C exp(phi(tau)) of w'_phi = w; a stack of tau takes one ``exp`` call."""
     C = algebra.element(C)
 
     def w(tau):
-        return algebra.product(C, each(algebra.exp, phi(tau)))
+        return algebra.product(C, algebra.exp(phi(tau)))
 
     def rhs(tau, wt):
         return wt
@@ -121,11 +122,21 @@ class SeparableSolution:
 
         integral_{w0}^{w} dv / L(v)  =  integral_{tau0}^{tau} K dphi.
 
-    Left side: straight segments from w0 with the identity reference map;
-    e / L is inverted at all quadrature nodes at once, with L still called
-    once per node.  Newton uses rep(e / L(w)) as the exact Jacobian of the
-    left side and the previous grid point as warm start along a path of tau
-    values.  A K that is already a SmoothMap is integrated as it is.
+    Left side: line integrals with the identity reference map, e / L
+    inverted at all quadrature nodes at once, with L still called once per
+    node.  Newton carries the pair (w, left(w)) and extends it by each step:
+    after a step from w to w', left(w') = left(w) + integral_{w}^{w'} e / L,
+    so every node is integrated once.  This relies on e / L being
+    differentiable relative to (identity, A), which the separable theory
+    already needs: the integral then does not depend on the path.  A piece
+    takes max(2, ceil(segments |w' - w| / max(|w - w0|, |w' - w0|, |w' - w|)))
+    segments, so its nodes are never farther apart than on the straight
+    segment from w0, and it never has more than ``segments``; a zero step
+    adds no piece.  Newton uses rep(e / L(w)) as the exact Jacobian of the
+    left side.  ``eval_path`` carries the pair from one tau to the next; a
+    ``warm`` start passed to ``solve_at`` gets one piece from w0, the straight
+    integral with ``segments`` segments.  A K that is already a SmoothMap is
+    integrated as it is.
     """
 
     def __init__(self, K, L, phi, algebra, w0, tau0, segments=256, max_iter=50):
@@ -143,34 +154,47 @@ class SeparableSolution:
                                 broadcasts=True)
         self._K = K if isinstance(K, SmoothMap) else SmoothMap(phi.k, algebra.dim, K, name="K")
 
-    def _left(self, w):
-        if np.array_equal(w, self.w0):
+    def _piece(self, w, w_new):
+        """integral_{w}^{w_new} e / L, with nodes no farther apart than from w0."""
+        step = float(np.linalg.norm(w_new - w))
+        if step == 0.0:
             return self.algebra.zero()
+        # step first, so that a nan step gives a nan scale, not a zero one
+        scale = max(step, float(np.linalg.norm(w - self.w0)),
+                    float(np.linalg.norm(w_new - self.w0)))
+        count = self.segments * (step / scale)  # at most segments: step / scale <= 1
+        # a nan or inf step takes ``segments``, and its non-finite nodes raise
+        count = max(2, math.ceil(count)) if math.isfinite(count) else self.segments
         return line_integral(self._inv_L, self._id, self.algebra,
-                             Path.segment(self.w0, w, segments=self.segments))
+                             Path.segment(w, w_new, segments=count))
 
     def _right(self, tau):
         return line_integral(self._K, self.phi, self.algebra,
                              Path.segment(self.tau0, tau, segments=self.segments))
 
-    def solve_at(self, tau, warm=None):
+    def _newton(self, tau, w, left):
+        """The pair (w, left(w)) at tau, by Newton from the pair given."""
         target = self._right(np.asarray(tau, dtype=float))
-        w = self.w0.copy() if warm is None else np.asarray(warm, dtype=float).copy()
         tol = 1e-12 * (1.0 + float(np.linalg.norm(target)))
         for _ in range(self.max_iter):
-            r = self._left(w) - target
+            r = left - target
             if np.linalg.norm(r) <= tol:
-                return w
+                return w, left
             jac = self.algebra.rep(self.algebra.inverse(self.L(w)))
-            w = w - np.linalg.solve(jac, r)
+            w_new = w - np.linalg.solve(jac, r)
+            w, left = w_new, left + self._piece(w, w_new)
         raise NewtonDivergence(f"no convergence at tau={tau} after {self.max_iter} iterations")
+
+    def solve_at(self, tau, warm=None):
+        w = self.w0.copy() if warm is None else np.asarray(warm, dtype=float).copy()
+        return self._newton(tau, w, self._piece(self.w0, w))[0]
 
     def eval_path(self, taus):
         out = []
-        warm = None
+        w, left = self.w0, self.algebra.zero()
         for tau in taus:
-            warm = self.solve_at(tau, warm=warm)
-            out.append(warm)
+            w, left = self._newton(tau, w, left)
+            out.append(w)
         return np.stack(out)
 
     def rhs(self, tau, wt):

@@ -7,6 +7,7 @@ human-facing summary of everything the library claims to get right.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,10 +147,16 @@ def _golden_cre_checks():
     return rows
 
 
+@functools.cache
+def _families():
+    """``default_families()``, built once per process; the checks only read them."""
+    return tuple(default_families())
+
+
 def _derivative_checks(rng):
     rows = []
     errors = []
-    for fam in default_families():
+    for fam in _families():
         points = np.array([fam.sample(rng) for _ in range(10)])
         report = phi_derivative(fam.functions["phi"], fam.phi, fam.algebra, points)
         for g, residual, unique in zip(report.derivative, report.residual, report.unique):

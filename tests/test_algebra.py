@@ -358,6 +358,18 @@ def test_exp_inverse_property(rng, families):
             npt.assert_allclose(alg.product(alg.exp(a), alg.exp(-a)), alg.unit, atol=1e-9)
 
 
+def test_exp_of_a_stack_has_the_bits_of_each_element(rng, families):
+    algebras = [fam.algebra for fam in families]
+    algebras.append(algebra_a2_1(-0.25 + 0.5j, 1.0 - 2.0j, scalars="complex"))
+    for alg in algebras:
+        stack = np.stack([alg.random_element(rng, scale=1.5) for _ in range(12)])
+        got = alg.exp(stack)
+        assert got.shape == stack.shape
+        for a, value in zip(stack, got):
+            want = alg.exp(a)
+            assert [float.hex(x) for x in value.view(float)] == [float.hex(x) for x in want.view(float)]
+
+
 def test_regularity_and_random_regular(rng):
     alg = algebra_a2_12()
     assert alg.is_regular(alg.unit)

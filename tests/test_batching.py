@@ -351,21 +351,41 @@ def test_picard_with_a_non_broadcasting_rhs_matches_the_node_loop(families):
         assert res.history == history, fam.name
 
 
-def reference_separable(K, L, phi, algebra, w0, tau0, tau, segments):
+def reference_separable(K, L, phi, algebra, w0, tau0, taus, segments):
+    """Newton at each tau in turn, the left side extended by each step, one node at a time.
+
+    The pair (w, left(w)) is carried from one tau to the next; a step from w
+    to w' adds the integral over [w, w'] with
+    max(2, ceil(segments |w' - w| / max(|w - w0|, |w' - w0|, |w' - w|)))
+    segments, and a zero step adds nothing.
+    """
     kmap = SmoothMap(phi.k, algebra.dim, K)
     inv_L = SmoothMap(algebra.dim, algebra.dim, lambda v: algebra.inverse(L(v)))
     ident = SmoothMap.identity(algebra.dim)
-    target = reference_integral(kmap, phi, algebra, Path.segment(tau0, tau), segments)
-    tol = 1e-12 * (1.0 + float(np.linalg.norm(target)))
-    w = w0.copy()
-    for _ in range(50):
-        left = (algebra.zero() if np.array_equal(w, w0) else
-                reference_integral(inv_L, ident, algebra, Path.segment(w0, w), segments))
-        r = left - target
-        if np.linalg.norm(r) <= tol:
-            return w
-        w = w - np.linalg.solve(algebra.rep(algebra.inverse(L(w))), r)
-    raise AssertionError("reference Newton did not converge")
+
+    def piece(w, w_new):
+        step = float(np.linalg.norm(w_new - w))
+        if step == 0.0:
+            return algebra.zero()
+        scale = max(step, float(np.linalg.norm(w - w0)), float(np.linalg.norm(w_new - w0)))
+        count = max(2, math.ceil(segments * (step / scale)))
+        return reference_integral(inv_L, ident, algebra, Path.segment(w, w_new), count)
+
+    w, left = w0.copy(), algebra.zero()
+    out = []
+    for tau in taus:
+        target = reference_integral(kmap, phi, algebra, Path.segment(tau0, tau), segments)
+        tol = 1e-12 * (1.0 + float(np.linalg.norm(target)))
+        for _ in range(50):
+            r = left - target
+            if np.linalg.norm(r) <= tol:
+                break
+            w_new = w - np.linalg.solve(algebra.rep(algebra.inverse(L(w))), r)
+            w, left = w_new, left + piece(w, w_new)
+        else:
+            raise AssertionError("reference Newton did not converge")
+        out.append(w)
+    return np.stack(out)
 
 
 def test_separable_with_a_non_broadcasting_L_matches_the_node_loop(families):
@@ -374,18 +394,36 @@ def test_separable_with_a_non_broadcasting_L_matches_the_node_loop(families):
     K = phi_polynomial([alg.zero(), alg.unit], phi, alg)
     L = indexed_square(alg)
     w0, tau0 = np.array([0.6, 0.3]), np.array([1.2, 0.8])
+    taus = [np.array([1.25, 0.85]), np.array([1.3, 0.95])]
     sol = separable_solve(K, L, phi, alg, w0, tau0, segments=32)
-    for tau in (np.array([1.25, 0.85]), np.array([1.3, 0.95])):
-        want = reference_separable(K, L, phi, alg, w0, tau0, tau, 32)
+    for tau in taus:
+        want = reference_separable(K, L, phi, alg, w0, tau0, [tau], 32)[0]
         assert np.array_equal(sol.solve_at(tau), want)
+    assert np.array_equal(sol.eval_path(taus), reference_separable(K, L, phi, alg, w0, tau0, taus, 32))
 
     def plain_K(u):  # a plain callable is wrapped in a SmoothMap once
         return K(u)
 
     sol2 = separable_solve(plain_K, L, phi, alg, w0, tau0, segments=32)
-    tau = np.array([1.3, 0.95])
-    assert np.array_equal(sol2.solve_at(tau),
-                          reference_separable(plain_K, L, phi, alg, w0, tau0, tau, 32))
+    assert np.array_equal(sol2.eval_path(taus),
+                          reference_separable(plain_K, L, phi, alg, w0, tau0, taus, 32))
+
+
+def test_separable_path_calls_L_fewer_times_than_one_integral_per_point(families):
+    fam = next(f for f in families if f.name == "complex-swap")
+    alg, phi = fam.algebra, fam.phi
+    calls = []
+
+    def L(w):
+        calls.append(1)
+        return alg.product(w, w)
+
+    K = phi_polynomial([alg.zero(), alg.unit], phi, alg)
+    tau0, tau1 = np.array([1.2, 0.8]), np.array([1.35, 0.9])
+    sol = separable_solve(K, L, phi, alg, np.array([0.6, 0.3]), tau0, segments=128)
+    sol.eval_path([tau0 + s * (tau1 - tau0) for s in (1 / 3, 2 / 3, 1.0)])
+    # one straight integral from w0 per point would alone take 3 (segments + 1) calls
+    assert 0 < len(calls) < 3 * (128 + 1)
 
 
 # -- the finite-difference stencil over a stack of points -------------------------

@@ -1,10 +1,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phialg.algebra import algebra_a2_1, algebra_a2_12, complex_algebra
 from phialg.calculus import phi_polynomial
-from phialg.errors import NoConvergence
+from phialg.errors import NoConvergence, SingularElement
 from phialg.integrals import Path, line_integral
 from phialg.maps import SmoothMap, each
 from phialg.odes import (
@@ -128,7 +129,7 @@ def test_separable_left_side_has_no_jump_at_the_base_point(offset):
     w0 = np.array([1.0, 1.0])
     sep = separable_solve(unit, unit, SmoothMap.identity(2), c, w0, np.zeros(2))
     w = w0 + np.array([offset, 0.0])
-    npt.assert_allclose(sep._left(w), w - w0, rtol=1e-9, atol=1e-20)
+    npt.assert_allclose(sep._piece(w0, w), w - w0, rtol=1e-9, atol=1e-20)
 
 
 def test_solution_residual_is_non_finite_when_a_point_is():
@@ -172,6 +173,14 @@ def test_separable_log_branch_continuity():
         z = complex(*tau)
         expected = np.exp(z)
         npt.assert_allclose(val, [expected.real, expected.imag], atol=1e-8)
+
+
+def test_separable_newton_step_to_a_non_finite_value_raises_singular_element():
+    c = complex_algebra()
+    sep = separable_solve(SmoothMap.constant(c.unit, k=2), lambda w: w, SmoothMap.identity(2), c,
+                          np.array([1.0, 0.0]), np.zeros(2))
+    with pytest.raises(SingularElement, match="not finite"):
+        sep.eval_path([np.array([np.nan, 0.0])])
 
 
 def test_picard_constant_rhs_immediate():
@@ -239,3 +248,32 @@ def test_verify_canonical_trivial_and_constructed():
 
     wrong = SmoothMap.linear([[2.0, 1.0], [0.5, 1.5]])
     assert verify_canonical(wrong, sq, pts) > 0.1
+
+
+def _complex_value(phi, u):
+    z = phi(np.asarray(u, dtype=float))
+    return complex(z[0], z[1])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(family=st.integers(0, 4), square=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_separable_path_matches_the_closed_forms(families, family, square, seed):
+    # K = phi, so integral K dphi = (z^2 - z0^2) / 2 =: d with z = phi(tau);
+    # L = w gives w0 exp(d) and L = w^2 gives w0 / (1 - w0 d)
+    fam = [f for f in families if f.name.startswith("complex-")][family]
+    alg, phi = fam.algebra, fam.phi
+    rng = np.random.default_rng(seed)
+    tau0 = fam.sample(rng)
+    direction = rng.standard_normal(phi.k)
+    tau1 = tau0 + rng.uniform(0.1, 0.3) * direction / np.linalg.norm(direction)
+    taus = [tau0 + s * (tau1 - tau0) for s in (1 / 3, 2 / 3, 1.0)]
+    z0 = _complex_value(phi, tau0)
+    deltas = [(_complex_value(phi, t) ** 2 - z0 ** 2) / 2.0 for t in taus]
+    w0 = rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    w0 *= min(1.0, 0.5 / max(abs(w0 * d) for d in deltas))  # keep |w0 d| <= 1/2
+    K = phi_polynomial([alg.zero(), alg.unit], phi, alg)
+    L = (lambda w: alg.product(w, w)) if square else (lambda w: w)
+    sol = separable_solve(K, L, phi, alg, np.array([w0.real, w0.imag]), tau0)
+    for d, got in zip(deltas, sol.eval_path(taus)):
+        want = w0 / (1.0 - w0 * d) if square else w0 * np.exp(d)
+        assert abs(complex(got[0], got[1]) - want) <= 1e-10 * abs(want)
